@@ -1,18 +1,22 @@
 //! Minimal flag parsing (no external dependencies).
 
+use std::cell::RefCell;
+
 /// Parsed positional arguments and `--key value` / `--flag` options.
 #[derive(Debug, Default)]
 pub struct Parsed {
     positional: Vec<String>,
     options: Vec<(String, Option<String>)>,
+    /// Option keys the subcommand has asked for, so
+    /// [`Parsed::reject_unread`] can name the ones it never reads.
+    read: RefCell<Vec<String>>,
 }
 
 /// Flags that take no value.
-const BOOL_FLAGS: [&str; 8] = [
+const BOOL_FLAGS: [&str; 7] = [
     "json",
     "interprocedural",
     "steal",
-    "pin",
     "compress",
     "no-finish",
     "resume",
@@ -52,6 +56,7 @@ impl Parsed {
 
     /// `true` when the boolean flag `key` was given.
     pub fn flag(&self, key: &str) -> bool {
+        self.mark_read(key);
         self.options.iter().any(|(k, _)| k == key)
     }
 
@@ -61,11 +66,38 @@ impl Parsed {
     ///
     /// Returns an error when the value does not parse as `T`.
     pub fn value_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        self.mark_read(key);
         match self.options.iter().rev().find(|(k, _)| k == key) {
             Some((_, Some(v))) => v
                 .parse()
                 .map_err(|_| format!("--{key}: cannot parse {v:?}")),
             _ => Ok(default),
+        }
+    }
+
+    /// Fails on the first given option the subcommand never read,
+    /// suggesting the closest option it did read. Call once every
+    /// option the subcommand uses has been read.
+    ///
+    /// # Errors
+    ///
+    /// Names the unread option.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        let Some((key, _)) = self.options.iter().find(|(k, _)| !read.contains(k)) else {
+            return Ok(());
+        };
+        let known: Vec<&str> = read.iter().map(String::as_str).collect();
+        Err(match crate::commands::closest(key, &known) {
+            Some(best) => format!("unknown option --{key}; did you mean --{best}?"),
+            None => format!("unknown option --{key}"),
+        })
+    }
+
+    fn mark_read(&self, key: &str) {
+        let mut read = self.read.borrow_mut();
+        if !read.iter().any(|k| k == key) {
+            read.push(key.to_string());
         }
     }
 }
@@ -104,14 +136,6 @@ mod tests {
         let p = parse(&argv(&["--steal", "--batch", "8"])).unwrap();
         assert!(p.flag("steal"));
         assert_eq!(p.value_or("batch", 1usize).unwrap(), 8);
-    }
-
-    #[test]
-    fn pin_is_a_bool_flag() {
-        // `--pin --json` must leave `--json` intact, not eat it as a value.
-        let p = parse(&argv(&["--pin", "--json"])).unwrap();
-        assert!(p.flag("pin"));
-        assert!(p.flag("json"));
     }
 
     #[test]

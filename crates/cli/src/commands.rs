@@ -14,7 +14,7 @@ use regmon_fleet::{
     TenantSpec, BATCH_BUCKETS,
 };
 use regmon_serve::replay::ReplayOptions;
-use regmon_serve::server::{ServeMode, ServeOptions, ServeReport};
+use regmon_serve::server::{ServeOptions, ServeReport};
 use regmon_serve::wire::Frame;
 use regmon_stats::{simd, SimdLevel};
 
@@ -36,7 +36,7 @@ USAGE:
   regmon baselines <benchmark> [--period N] [--intervals N]
   regmon fleet <benchmark|all> [--tenants N] [--shards N] [--intervals N]
                [--period N] [--queue-depth N] [--policy block|drop-oldest]
-               [--batch N] [--steal] [--pin] [--pacing lockstep|freerun]
+               [--batch N] [--steal] [--pacing lockstep|freerun]
                [--index linear|tree|flat] [--parallel-attrib N] [--json]
                [--simd scalar|sse2|avx2] [--metrics-every N]
                [--trace-out FILE] [--record DIR]
@@ -44,8 +44,8 @@ USAGE:
   regmon replay <journal> [--json] [--snapshot-at N] [--snapshot-out FILE]
                [--resume FILE]
   regmon serve (--unix PATH | --tcp ADDR) [--shards N] [--queue-depth N]
-               [--expect-sessions N] [--serve-loop threads|events]
-               [--event-workers N] [--wire-version 1|2|auto]
+               [--expect-sessions N] [--event-workers N]
+               [--wire-version 1|2|auto]
                [--durable DIR | --recover DIR] [--checkpoint-every N]
                [--fsync always|checkpoint|never] [--idle-timeout-ms N]
                [--max-conns N] [--drain-deadline-ms N]
@@ -69,17 +69,17 @@ Out-of-process ingestion: `--record` writes the sampled intervals as a
 wire frame journal; `regmon replay` re-processes a journal
 byte-identically to the run that recorded it (optionally checkpointing
 with --snapshot-at/--snapshot-out, or resuming with --resume);
-`regmon serve` ingests journals streamed by `regmon send` over a unix
-socket or TCP and reports each finished session like `regmon run`.
+`regmon serve` (unix only) ingests journals streamed by `regmon send`
+over a unix socket or TCP and reports each finished session like
+`regmon run`; a fixed pool of --event-workers poll(2) workers
+multiplexes all connections.
 
 The wire speaks two versions, settled per connection: v1 (the original
 raw-sample frames, byte-identical forever) and v2 (delta-encoded
 columnar batches, roughly 8x smaller, optionally LZ-compressed with
 --compress). `regmon send` negotiates by default (--wire-version auto)
 and falls back to v1 against an old server; results are byte-identical
-over every version/compression combination. `--serve-loop events`
-multiplexes all connections over a fixed pool of poll(2) workers
-instead of one thread per connection. `regmon migrate` moves a live
+over every version/compression combination. `regmon migrate` moves a live
 session between two servers mid-stream: the first server checkpoints
 and retires the tenant, the second resumes it byte-identically.
 
@@ -96,10 +96,8 @@ position. `--max-conns` sheds excess connections with a Busy reply,
 shutdown when a peer wedges mid-frame.
 
 SIMD kernel dispatch resolves at startup (`regmon features` shows the
-detected level); `--simd` or the REGMON_SIMD env var dial it down —
-results are bitwise identical at every level. `regmon fleet --pin`
-pins shard workers to CPUs (best-effort, Linux only; never affects
-results).
+detected level and CPU count); `--simd` or the REGMON_SIMD env var
+dial it down — results are bitwise identical at every level.
 
 Telemetry is off unless requested: `--trace-out` writes a
 chrome://tracing event journal, `--metrics-every N` prints a Prometheus
@@ -185,7 +183,8 @@ fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 /// `regmon list`
-pub fn list() {
+pub fn list(argv: &[String]) -> Result<(), String> {
+    parse(argv)?.reject_unread()?;
     println!("{:<14} {:>7} {:>8}  notes", "benchmark", "procs", "loops");
     for name in suite::names() {
         let w = suite::by_name(name).expect("listed names build");
@@ -206,6 +205,7 @@ pub fn list() {
         };
         println!("{name:<14} {procs:>7} {loops:>8}  {note}");
     }
+    Ok(())
 }
 
 /// `regmon run <benchmark>`
@@ -225,6 +225,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     config.index = IndexKind::parse(&p.value_or("index", "tree".to_string())?)?;
     config.parallel_attrib = p.value_or("parallel-attrib", 0)?;
     let trace_out: String = p.value_or("trace-out", String::new())?;
+    let record: String = p.value_or("record", String::new())?;
+    let json = p.flag("json");
+    p.reject_unread()?;
     if !trace_out.is_empty() {
         regmon_telemetry::set_enabled(true);
     }
@@ -232,17 +235,16 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     if !trace_out.is_empty() {
         write_trace(&trace_out)?;
     }
-    let record: String = p.value_or("record", String::new())?;
     if !record.is_empty() {
         regmon_serve::record_run(Path::new(&record), &w, &config, intervals)
             .map_err(|e| format!("--record {record}: {e}"))?;
         eprintln!("record: wire journal written to {record}");
     }
 
-    if p.flag("json") {
+    if json {
         println!(
             "{}",
-            summary_json(p.flag("interprocedural"), &summary).render()
+            summary_json(config.formation.interprocedural, &summary).render()
         );
         return Ok(());
     }
@@ -322,25 +324,25 @@ fn print_summary_text(summary: &SessionSummary) {
 }
 
 /// `regmon features` — detected SIMD level, dispatch state and CPU
-/// placement capabilities. The one place where *active* (as opposed to
+/// count. The one place where *active* (as opposed to
 /// hardware-detected) settings are reported, so every other `--json`
-/// document can stay byte-identical across `REGMON_SIMD`/`--simd`/
-/// `--pin`.
+/// document can stay byte-identical across `REGMON_SIMD`/`--simd`.
 pub fn features(argv: &[String]) -> Result<(), String> {
     let p = parse(argv)?;
     apply_simd_flag(&p)?;
+    let json = p.flag("json");
+    p.reject_unread()?;
     let detected = simd::detected();
     let active = simd::active();
     let env = simd::env_override();
-    let cpus = regmon_fleet::available_cpus();
-    let pinning = regmon_fleet::pinning_supported();
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let supported: Vec<&str> = SimdLevel::ALL
         .iter()
         .filter(|l| l.is_supported())
         .map(|l| l.label())
         .collect();
 
-    if p.flag("json") {
+    if json {
         let out = Json::obj(vec![
             ("host_simd", Json::Str(detected.label().to_string())),
             ("active_simd", Json::Str(active.label().to_string())),
@@ -354,7 +356,6 @@ pub fn features(argv: &[String]) -> Result<(), String> {
                         .collect(),
                 ),
             ),
-            ("pinning_supported", Json::Bool(pinning)),
             ("cpus", Json::Num(cpus as f64)),
         ]);
         println!("{}", out.render());
@@ -370,14 +371,6 @@ pub fn features(argv: &[String]) -> Result<(), String> {
         }
     );
     println!("levels supported : {}", supported.join(", "));
-    println!(
-        "worker pinning   : {}",
-        if pinning {
-            "available (sched_setaffinity)"
-        } else {
-            "unavailable on this platform"
-        }
-    );
     println!("cpus             : {cpus}");
     Ok(())
 }
@@ -387,6 +380,7 @@ pub fn sweep(argv: &[String]) -> Result<(), String> {
     let p = parse(argv)?;
     let w = workload(p.positional(0))?;
     let intervals_45k: usize = p.value_or("intervals", 400)?;
+    p.reject_unread()?;
     println!(
         "{:>8} | {:>11} {:>9} | {:>11} {:>9}",
         "period", "GPD changes", "GPD %stab", "LPD changes", "LPD %stab"
@@ -413,6 +407,7 @@ pub fn rto(argv: &[String]) -> Result<(), String> {
     let w = workload(p.positional(0))?;
     let period: u64 = p.value_or("period", 800_000)?;
     let intervals: usize = p.value_or("intervals", usize::MAX)?;
+    p.reject_unread()?;
     let mut config = RtoConfig::new(period);
     if intervals != usize::MAX {
         config.max_intervals = Some(intervals);
@@ -460,7 +455,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     let policy = QueuePolicy::parse(&p.value_or("policy", "block".to_string())?)?;
     let batch: usize = p.value_or("batch", 1)?;
     let steal = p.flag("steal");
-    let pin = p.flag("pin");
     let pacing = Pacing::parse(&p.value_or("pacing", "lockstep".to_string())?)?;
     let index = IndexKind::parse(&p.value_or("index", "tree".to_string())?)?;
     let parallel_attrib: usize = p.value_or("parallel-attrib", 0)?;
@@ -469,6 +463,8 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     let record: String = p.value_or("record", String::new())?;
     let cpd_on = p.flag("cpd");
     let degrade: String = p.value_or("degrade", String::new())?;
+    let json = p.flag("json");
+    p.reject_unread()?;
     if tenants == 0 || shards == 0 || intervals == 0 || queue_depth == 0 || batch == 0 {
         return Err("--tenants/--shards/--intervals/--queue-depth/--batch must be positive".into());
     }
@@ -553,7 +549,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
         .with_policy(policy)
         .with_batch(batch)
         .with_steal(steal)
-        .with_pin(pin)
         .with_pacing(pacing)
         .with_metrics_every(metrics_every)
         .with_cpd(cpd_on);
@@ -568,7 +563,7 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
         }
     }
 
-    if p.flag("json") {
+    if json {
         let tenants_json: Vec<Json> = report
             .tenants
             .iter()
@@ -640,14 +635,10 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
             ("queue_depth", Json::Num(queue_depth as f64)),
             ("batch", Json::Num(batch as f64)),
             ("steal", Json::Bool(steal)),
-            // Host capabilities, not per-run placement: this document
-            // stays byte-identical with --pin/--simd on or off (the
-            // active settings live in `regmon features`).
+            // The host capability, not the active level: this document
+            // stays byte-identical with --simd on or off (the active
+            // setting lives in `regmon features`).
             ("host_simd", Json::Str(simd::detected().label().to_string())),
-            (
-                "pinning_supported",
-                Json::Bool(regmon_fleet::pinning_supported()),
-            ),
             (
                 "pacing",
                 Json::Str(
@@ -717,9 +708,8 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "== fleet: {target} x {tenants} tenants over {shards} shards (depth {queue_depth}, {policy:?}, batch {batch}{}{}) ==",
-        if steal { ", steal" } else { "" },
-        if pin { ", pin" } else { "" }
+        "== fleet: {target} x {tenants} tenants over {shards} shards (depth {queue_depth}, {policy:?}, batch {batch}{}) ==",
+        if steal { ", steal" } else { "" }
     );
     println!(
         "completed {}  evicted {}  failed {}  restarts {}  migrations {}",
@@ -846,6 +836,8 @@ pub fn replay(argv: &[String]) -> Result<(), String> {
     let snapshot_at: usize = p.value_or("snapshot-at", 0)?;
     let snapshot_out: String = p.value_or("snapshot-out", String::new())?;
     let resume: String = p.value_or("resume", String::new())?;
+    let json = p.flag("json");
+    p.reject_unread()?;
     if (snapshot_at > 0) == snapshot_out.is_empty() {
         return Err("--snapshot-at and --snapshot-out must be given together".into());
     }
@@ -860,7 +852,7 @@ pub fn replay(argv: &[String]) -> Result<(), String> {
         eprintln!("snapshot: session checkpoint written to {snapshot_out}");
     }
     for tenant in &outcome.tenants {
-        if p.flag("json") {
+        if json {
             println!(
                 "{}",
                 summary_json(tenant.config.formation.interprocedural, &tenant.summary).render()
@@ -873,13 +865,18 @@ pub fn replay(argv: &[String]) -> Result<(), String> {
 }
 
 #[cfg(unix)]
-fn serve_over_unix(path: &str, options: ServeOptions) -> Result<ServeReport, String> {
-    regmon_serve::serve_unix(Path::new(path), options).map_err(|e| format!("--unix {path}: {e}"))
+fn serve_over(unix: &str, tcp: &str, options: ServeOptions) -> Result<ServeReport, String> {
+    if unix.is_empty() {
+        regmon_serve::serve_tcp(tcp, options).map_err(|e| format!("--tcp {tcp}: {e}"))
+    } else {
+        regmon_serve::serve_unix(Path::new(unix), options)
+            .map_err(|e| format!("--unix {unix}: {e}"))
+    }
 }
 
 #[cfg(not(unix))]
-fn serve_over_unix(_path: &str, _options: ServeOptions) -> Result<ServeReport, String> {
-    Err("unix sockets are unavailable on this platform; use --tcp ADDR".into())
+fn serve_over(_unix: &str, _tcp: &str, _options: ServeOptions) -> Result<ServeReport, String> {
+    Err("serve needs a unix platform (its event loop is built on poll(2))".into())
 }
 
 /// `regmon serve` — ingest wire streams from producer processes.
@@ -923,8 +920,6 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         shards: p.value_or("shards", 2)?,
         queue_depth: p.value_or("queue-depth", 256)?,
         expect_sessions: p.value_or("expect-sessions", 1)?,
-        mode: ServeMode::parse(&p.value_or("serve-loop", "threads".to_string())?)
-            .map_err(|e| format!("--serve-loop: {e}"))?,
         event_workers: p.value_or("event-workers", 2)?,
         max_wire_version: parse_wire_version(&p.value_or("wire-version", "auto".to_string())?)?
             .unwrap_or(regmon_serve::WIRE_VERSION),
@@ -945,29 +940,25 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             "--shards/--queue-depth/--expect-sessions/--event-workers must be positive".into(),
         );
     }
-    let mode_label = options.mode.label();
     let trace_out: String = p.value_or("trace-out", String::new())?;
+    let json = p.flag("json");
+    p.reject_unread()?;
     if !trace_out.is_empty() {
         regmon_telemetry::set_enabled(true);
     }
 
-    let report = if unix.is_empty() {
-        regmon_serve::serve_tcp(&tcp, options).map_err(|e| format!("--tcp {tcp}: {e}"))?
-    } else {
-        serve_over_unix(&unix, options)?
-    };
+    let event_workers = options.event_workers;
+    let report = serve_over(&unix, &tcp, options)?;
     if !trace_out.is_empty() {
         write_trace(&trace_out)?;
     }
 
     eprintln!(
-        "serve: {} session(s) over {} connection(s), {} frames, {} bytes, peak {} handler(s) [{}]",
+        "serve: {} session(s) over {} connection(s), {} frames, {} bytes, {event_workers} worker(s)",
         report.sessions.len(),
         report.connections,
         report.frames,
         report.bytes,
-        report.peak_handlers,
-        mode_label
     );
     if report.recovered > 0 {
         eprintln!(
@@ -999,7 +990,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             eprintln!("serve: session {:?} never finished", session.name);
             continue;
         };
-        if p.flag("json") {
+        if json {
             println!(
                 "{}",
                 summary_json(session.config.formation.interprocedural, summary).render()
@@ -1106,12 +1097,14 @@ pub fn send(argv: &[String]) -> Result<(), String> {
         return Err("--compress requires wire v2 (drop --wire-version 1)".into());
     }
     let policy = parse_retry_policy(&p)?;
+    let no_finish = p.flag("no-finish");
+    p.reject_unread()?;
 
     let frames =
         regmon_serve::read_journal(Path::new(journal)).map_err(|e| format!("{journal}: {e}"))?;
     let mut plan =
         regmon_serve::SendPlan::from_frames(frames).map_err(|e| format!("{journal}: {e}"))?;
-    if p.flag("no-finish") {
+    if no_finish {
         for session in &mut plan.sessions {
             session.finish = false;
         }
@@ -1188,6 +1181,7 @@ pub fn migrate(argv: &[String]) -> Result<(), String> {
     }
     let compress = p.flag("compress");
     let policy = parse_retry_policy(&p)?;
+    p.reject_unread()?;
     let deadline = (!policy.timeout.is_zero()).then_some(policy.timeout);
 
     // Load and validate the journal: exactly one tenant, finished.
@@ -1325,6 +1319,7 @@ pub fn metrics(argv: &[String]) -> Result<(), String> {
 
     let check: String = p.value_or("check", String::new())?;
     if !check.is_empty() {
+        p.reject_unread()?;
         let text = std::fs::read_to_string(&check).map_err(|e| format!("--check {check}: {e}"))?;
         if text.trim_start().starts_with('{') {
             let doc = regmon_telemetry::parse::parse(&text).map_err(|e| format!("{check}: {e}"))?;
@@ -1370,10 +1365,12 @@ pub fn metrics(argv: &[String]) -> Result<(), String> {
 
     let w = workload(Some(p.positional(0).unwrap_or("181.mcf")))?;
     let intervals: usize = p.value_or("intervals", 60)?;
+    let json = p.flag("json");
+    p.reject_unread()?;
     let config = SessionConfig::new(45_000);
     regmon_telemetry::set_enabled(true);
     let _ = MonitoringSession::run_limited(&w, &config, intervals);
-    if p.flag("json") {
+    if json {
         println!("{}", regmon_telemetry::expo::json_snapshot());
     } else {
         print!("{}", regmon_telemetry::expo::prometheus_text());
@@ -1405,19 +1402,21 @@ pub fn cpd(argv: &[String]) -> Result<(), String> {
         }
         return Err("cpd needs exactly one of --trace FILE or --bench FILE[,FILE...]".into());
     }
+    let top: usize = p.value_or("top", 0)?;
+    let json = p.flag("json");
+    p.reject_unread()?;
     let ranked = if trace.is_empty() {
         cpd_over_bench_history(&bench)?
     } else {
         cpd_over_trace(&trace)?
     };
-    let top: usize = p.value_or("top", 0)?;
     let shown: &[ChangePointRow] = if top > 0 && top < ranked.len() {
         &ranked[..top]
     } else {
         &ranked
     };
 
-    if p.flag("json") {
+    if json {
         let rows: Vec<Json> = shown
             .iter()
             .map(|row| {
@@ -1636,6 +1635,7 @@ pub fn baselines(argv: &[String]) -> Result<(), String> {
     let w = workload(p.positional(0))?;
     let period: u64 = p.value_or("period", 45_000)?;
     let intervals: usize = p.value_or("intervals", 400)?;
+    p.reject_unread()?;
 
     let config = SessionConfig::new(period);
     let mut session = MonitoringSession::new(config.clone());

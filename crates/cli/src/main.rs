@@ -40,10 +40,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     };
     let rest = &argv[1..];
     match cmd.as_str() {
-        "list" => {
-            commands::list();
-            Ok(())
-        }
+        "list" => commands::list(rest),
         "run" => commands::run(rest),
         "features" => commands::features(rest),
         "sweep" => commands::sweep(rest),

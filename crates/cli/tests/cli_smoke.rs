@@ -186,6 +186,31 @@ fn fleet_rejects_bad_policy_and_zero_sizes() {
     assert!(stderr.contains("lockstep"));
 }
 
+/// An option the subcommand never reads is an error, not a silent
+/// no-op: removed flags and typos are named, typos with a suggestion.
+#[test]
+fn unread_options_are_rejected() {
+    let (ok, _, stderr) = regmon(&[
+        "fleet",
+        "181.mcf",
+        "--tenants",
+        "2",
+        "--intervals",
+        "2",
+        "--jsn",
+        "x",
+        "--json",
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown option --jsn; did you mean --json?"),
+        "{stderr}"
+    );
+    let (ok, _, stderr) = regmon(&["fleet", "all", "--pin", "--json"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown option --pin"), "{stderr}");
+}
+
 #[test]
 fn fleet_accepts_drop_alias() {
     let (ok, stdout, _) = regmon(&[

@@ -206,7 +206,7 @@ fn spawn_server(sock: &std::path::Path, extra: &[&str]) -> std::process::Child {
     server
 }
 
-/// Every wire version × compression × serve loop combination must emit
+/// Every wire version × compression combination must emit
 /// the byte-identical `--json` report of the in-process run — including
 /// both halves of version negotiation (new client × old server, old
 /// client × new server).
@@ -233,16 +233,6 @@ fn wire_version_matrix_is_byte_identical_to_run() {
         ("v1 server, v2 sender", &["--wire-version", "1"], &[]),
         ("v2 negotiated", &[], &["--wire-version", "2"]),
         ("v2 compressed", &[], &["--compress"]),
-        (
-            "event loop, v2 compressed",
-            &["--serve-loop", "events", "--event-workers", "2"],
-            &["--compress"],
-        ),
-        (
-            "event loop, v1 sender",
-            &["--serve-loop", "events"],
-            &["--wire-version", "1"],
-        ),
     ];
     for (label, serve_extra, send_extra) in cases {
         let sock = dir.join("regmon.sock");
@@ -433,10 +423,6 @@ fn wire_flag_typos_get_spelling_help() {
     let (ok, _, stderr) = regmon(&["send", "x.rgj", "--unix", "/nope", "--wire-version", "3"]);
     assert!(!ok);
     assert!(stderr.contains("\"auto\""), "{stderr}");
-    let (ok, _, stderr) = regmon(&["serve", "--unix", "/nope", "--serve-loop", "eventz"]);
-    assert!(!ok);
-    assert!(stderr.contains("\"events\""), "{stderr}");
-    assert!(stderr.contains("\"threads\""), "{stderr}");
 }
 
 /// The serve smoke: a server on a unix socket, a producer streaming a

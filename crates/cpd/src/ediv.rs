@@ -80,19 +80,6 @@ pub fn detect(series: &[f64], config: &EDivConfig) -> Vec<Detection> {
     found
 }
 
-/// Rank-transform variant: detects on tie-averaged ranks (robust to
-/// outliers and monotone rescaling), but reports `magnitude` in the
-/// original series units so callers can still rank by effect size.
-#[must_use]
-pub fn detect_rank(series: &[f64], config: &EDivConfig) -> Vec<Detection> {
-    let ranks = rank_transform(series);
-    let mut found = detect(&ranks, config);
-    for d in &mut found {
-        d.magnitude = mean(&series[d.index..]) - mean(&series[..d.index]);
-    }
-    found
-}
-
 impl EDivConfig {
     fn sanitized(&self) -> Self {
         Self {
@@ -221,32 +208,6 @@ fn permutation_p_value(xs: &[f64], q_obs: f64, cfg: &EDivConfig, seed: u64) -> f
 fn segment_seed(seed: u64, lo: usize, hi: usize) -> u64 {
     seed ^ (lo as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ (hi as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)
-}
-
-/// Tie-averaged rank transform (ranks start at 1; equal values share
-/// the mean of the ranks they span).
-fn rank_transform(xs: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..xs.len()).collect();
-    order.sort_by(|&a, &b| {
-        xs[a]
-            .partial_cmp(&xs[b])
-            .unwrap_or(core::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut ranks = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && xs[order[j + 1]] == xs[order[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &order[i..=j] {
-            ranks[k] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -412,26 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_agrees_with_means_on_clean_step() {
-        let xs = step(64, 24, 2.0, 7.0);
-        let by_means = detect(&xs, &EDivConfig::default());
-        let by_rank = detect_rank(&xs, &EDivConfig::default());
-        assert_eq!(by_means.len(), 1);
-        assert_eq!(by_rank.len(), 1);
-        assert_eq!(by_means[0].index, by_rank[0].index);
-        // The rank variant reports magnitude in original units too.
-        assert!((by_rank[0].magnitude - by_means[0].magnitude).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rank_shrugs_off_a_huge_outlier() {
-        let mut xs = step(64, 32, 1.0, 3.0);
-        xs[5] = 1.0e6; // one wild outlier in the pre-change regime
-        let found = detect_rank(&xs, &EDivConfig::default());
-        assert!(found.iter().any(|d| d.index.abs_diff(32) <= 1), "{found:?}");
-    }
-
-    #[test]
     fn detection_is_deterministic() {
         let mut xs = step(80, 48, 5.0, 9.0);
         for (x, e) in xs.iter_mut().zip(noise(80, 3, 0.5)) {
@@ -440,11 +381,5 @@ mod tests {
         let a = detect(&xs, &EDivConfig::default());
         let b = detect(&xs, &EDivConfig::default());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rank_transform_averages_ties() {
-        let ranks = rank_transform(&[2.0, 1.0, 2.0, 5.0]);
-        assert_eq!(ranks, vec![2.5, 1.0, 2.5, 4.0]);
     }
 }

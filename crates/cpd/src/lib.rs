@@ -12,8 +12,7 @@
 //! comes from a permutation test rather than a magic constant.
 //!
 //! * [`ediv`] — the batch kernel: hierarchical E-divisive means with a
-//!   deterministic permutation significance test, plus a rank-transform
-//!   variant that is robust to outliers.
+//!   deterministic permutation significance test.
 //! * [`stream`] — a bounded-ring streaming wrapper that re-runs the
 //!   batch kernel on a sliding window and emits each change point once.
 //! * [`hub`] — a keyed collection of streaming detectors (one per
@@ -46,6 +45,6 @@ pub mod ediv;
 pub mod hub;
 pub mod stream;
 
-pub use ediv::{detect, detect_rank, Detection, EDivConfig};
+pub use ediv::{detect, Detection, EDivConfig};
 pub use hub::{ChangePoint, CpdHub, Metric, SeriesKey, NO_REGION, NO_TENANT};
 pub use stream::{StreamConfig, StreamDetection, StreamingCpd};

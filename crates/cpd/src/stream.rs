@@ -14,7 +14,7 @@
 //! a regime shift keeps its round label as the window slides — so a
 //! monotone high-water mark is enough for deduplication.)
 
-use crate::ediv::{detect, detect_rank, EDivConfig};
+use crate::ediv::{detect, EDivConfig};
 use std::collections::VecDeque;
 
 /// Configuration for one streaming detector.
@@ -24,8 +24,6 @@ pub struct StreamConfig {
     pub window: usize,
     /// Run the batch kernel every this many pushes (≥ 1).
     pub detect_every: usize,
-    /// Use the rank-transform kernel instead of plain means.
-    pub rank: bool,
     /// Batch kernel settings shared by every detection pass.
     pub ediv: EDivConfig,
 }
@@ -35,7 +33,6 @@ impl Default for StreamConfig {
         Self {
             window: 64,
             detect_every: 8,
-            rank: false,
             ediv: EDivConfig::default(),
         }
     }
@@ -122,11 +119,7 @@ impl StreamingCpd {
 
     fn detect_now(&mut self, confirmed_only: bool) -> Vec<StreamDetection> {
         let values: Vec<f64> = self.ring.iter().map(|&(_, v)| v).collect();
-        let detections = if self.config.rank {
-            detect_rank(&values, &self.config.ediv)
-        } else {
-            detect(&values, &self.config.ediv)
-        };
+        let detections = detect(&values, &self.config.ediv);
         // Confirmation: as a regime shift slides *into* the window the
         // kernel briefly maximizes at the minimum-size tail segment,
         // mislocating the split. Mid-stream passes therefore only

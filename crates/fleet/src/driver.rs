@@ -169,13 +169,6 @@ impl FleetConfig {
         self
     }
 
-    /// Enables best-effort worker CPU pinning (never affects results).
-    #[must_use]
-    pub fn with_pin(mut self, pin: bool) -> Self {
-        self.engine = self.engine.with_pin(pin);
-        self
-    }
-
     /// Installs a cold-tenant eviction policy.
     #[must_use]
     pub fn with_cold_tenant(mut self, policy: ColdTenantPolicy) -> Self {

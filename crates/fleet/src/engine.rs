@@ -52,11 +52,6 @@ pub struct EngineConfig {
     /// Whether tenant leases may move between shards (work stealing in
     /// freerun pacing; deterministic driver rebalancing in lockstep).
     pub steal: bool,
-    /// Whether shard workers pin themselves to CPUs (best-effort
-    /// `sched_setaffinity` on Linux, silently unpinned elsewhere).
-    /// Placement never affects results — outputs are byte-identical
-    /// with pinning on or off.
-    pub pin: bool,
 }
 
 impl EngineConfig {
@@ -70,7 +65,6 @@ impl EngineConfig {
             policy: QueuePolicy::Block,
             batch: 1,
             steal: false,
-            pin: false,
         }
     }
 
@@ -92,13 +86,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_steal(mut self, steal: bool) -> Self {
         self.steal = steal;
-        self
-    }
-
-    /// Enables or disables best-effort worker CPU pinning.
-    #[must_use]
-    pub fn with_pin(mut self, pin: bool) -> Self {
-        self.pin = pin;
         self
     }
 }
@@ -142,9 +129,6 @@ impl FleetEngine {
             stop_steal: std::sync::atomic::AtomicBool::new(false),
             worker_steal: worker_steal && config.steal && config.shards > 1,
             steal_backlog: (config.queue_depth / 2).max(1),
-            pin: config.pin,
-            topology: crate::affinity::Topology::detect(),
-            cpus: crate::affinity::available_cpus(),
         });
         let workers = (0..config.shards)
             .map(|shard| {

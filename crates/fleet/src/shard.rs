@@ -41,7 +41,6 @@ use regmon_binary::Binary;
 use regmon_sampling::Interval;
 use regmon_telemetry::{journal, metrics};
 
-use crate::affinity::{self, Topology};
 use crate::queue::{Droppable, Popped, PushError, QueuePolicy, QueueStats, RingQueue};
 use crate::tenant::{EvictReason, FaultPlan, TenantId, TenantState};
 
@@ -271,20 +270,6 @@ pub(crate) struct WorkerShared {
     pub worker_steal: bool,
     /// Minimum victim backlog (queue occupancy) that justifies a steal.
     pub steal_backlog: usize,
-    /// Whether workers pin themselves to a CPU at startup (best-effort).
-    pub pin: bool,
-    /// CPU → core-complex map for steal-victim locality.
-    pub topology: Topology,
-    /// CPUs available to the process (fixes the shard → CPU mapping).
-    pub cpus: usize,
-}
-
-impl WorkerShared {
-    /// The CPU shard `shard`'s worker targets when pinning, and the one
-    /// its locality is judged by either way.
-    fn cpu_of_shard(&self, shard: usize) -> usize {
-        affinity::cpu_for_shard(shard, self.cpus)
-    }
 }
 
 /// Point-in-time view of one tenant, as seen by its shard.
@@ -331,10 +316,6 @@ pub struct ShardFinal {
     pub messages_processed: usize,
     /// Tenants stolen from peers over the shard's lifetime.
     pub tenants_stolen: usize,
-    /// The CPU this worker pinned itself to, when pinning was requested
-    /// *and* the kernel accepted the mask (best-effort; `None` means
-    /// the worker ran wherever the scheduler put it).
-    pub pinned_cpu: Option<usize>,
     /// Queue backpressure counters. Under lockstep pacing the
     /// stall/drop/high-water numbers are superseded by the driver's
     /// deterministic accounting, but the batch-size histogram is
@@ -418,12 +399,6 @@ pub(crate) fn run_worker(shard: usize, shared: &WorkerShared) -> ShardFinal {
         messages: 0,
         stolen: 0,
     };
-    let pinned_cpu = if shared.pin {
-        let cpu = shared.cpu_of_shard(shard);
-        affinity::pin_current_thread(cpu).then_some(cpu)
-    } else {
-        None
-    };
     let queue = &shared.queues[shard];
 
     loop {
@@ -460,7 +435,6 @@ pub(crate) fn run_worker(shard: usize, shared: &WorkerShared) -> ShardFinal {
         tenants: w.tenants.iter().map(|(id, e)| e.snapshot(*id)).collect(),
         messages_processed: w.messages,
         tenants_stolen: w.stolen,
-        pinned_cpu,
         queue: queue.stats(),
     }
 }
@@ -506,21 +480,11 @@ impl Worker {
     /// to ourselves. The lease flips inside the push gate, so the flip
     /// commits iff the `Release` lands; a timeout or stale gate aborts
     /// the steal with nothing changed.
-    ///
-    /// Victim preference is topology-aware: a peer whose CPU shares
-    /// this worker's core complex (last-level cache) wins over a more
-    /// backlogged peer on a different complex, because the stolen
-    /// tenant's session state migrates through the shared cache instead
-    /// of over the interconnect. Within a locality class, deepest
-    /// backlog wins.
     fn try_steal(&mut self, shared: &WorkerShared) {
         if shared.stop_steal.load(Ordering::Relaxed) {
             return;
         }
-        let my_complex = shared.topology.complex_of(shared.cpu_of_shard(self.shard));
-        // (same_complex, depth) ranked lexicographically: locality
-        // first, then backlog.
-        let mut victim: Option<(usize, (bool, usize))> = None;
+        let mut victim: Option<(usize, usize)> = None;
         for (s, queue) in shared.queues.iter().enumerate() {
             if s == self.shard {
                 continue;
@@ -529,9 +493,8 @@ impl Worker {
             if depth < shared.steal_backlog {
                 continue;
             }
-            let near = shared.topology.complex_of(shared.cpu_of_shard(s)) == my_complex;
-            if victim.map_or(true, |(_, best)| (near, depth) > best) {
-                victim = Some((s, (near, depth)));
+            if victim.map_or(true, |(_, best)| depth > best) {
+                victim = Some((s, depth));
             }
         }
         let Some((victim, _)) = victim else { return };

@@ -46,7 +46,6 @@ fn benefit_stream_config() -> StreamConfig {
     StreamConfig {
         window: 32,
         detect_every: 4,
-        rank: false,
         ediv: EDivConfig {
             min_segment: 4,
             ..EDivConfig::default()

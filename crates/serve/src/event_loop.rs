@@ -1,22 +1,21 @@
-//! The readiness-based serve loop (unix only).
+//! The serve loop behind `serve_unix` and `serve_tcp` (unix only).
 //!
-//! Thread-per-connection serves a handful of producers fine, but every
-//! mostly-idle connection still costs a parked OS thread (stack,
-//! scheduler state, a slot in the thread table). This module
-//! multiplexes *all* connections over a small fixed pool of workers
-//! instead: each worker owns a set of nonblocking sockets, sleeps in
-//! `poll(2)` until one of them is readable (or writable, when a reply
-//! is pending), and feeds whatever bytes arrive through that
-//! connection's [`FrameParser`] + [`Conn`] state machine — the exact
-//! same machinery the threaded mode runs, so results are
-//! byte-identical. 256 idle producers cost 256 pollfd entries, not 256
-//! threads.
+//! A thread per connection would cost every mostly-idle producer a
+//! parked OS thread (stack, scheduler state, a slot in the thread
+//! table). This module multiplexes *all* connections over a small fixed
+//! pool of workers instead: each worker owns a set of nonblocking
+//! sockets, sleeps in `poll(2)` until one of them is readable (or
+//! writable, when a reply is pending), and feeds whatever bytes arrive
+//! through that connection's [`FrameParser`] + [`Conn`] state machine —
+//! the exact machinery the in-process [`Server::handle_io`] runs, so
+//! results are byte-identical. 256 idle producers cost 256 pollfd
+//! entries, not 256 threads.
 //!
-//! `poll(2)` is declared directly against glibc (the `affinity.rs`
-//! precedent) rather than pulled in as a dependency: one `#[repr(C)]`
-//! struct and one foreign function, confined to the [`sys`] module.
+//! `poll(2)` is declared directly against glibc rather than pulled in
+//! as a dependency: one `#[repr(C)]` struct and one foreign function,
+//! confined to the [`sys`] module.
 //!
-//! Properties preserved from the threaded mode:
+//! Properties:
 //!
 //! * **Per-connection error isolation** — a bad stream is recorded in
 //!   the report and its socket dropped; every other connection on the
@@ -252,8 +251,7 @@ fn worker_loop<S: Read + Write + AsRawFd>(
             // means "go find out via read/write".
             if fds[i].revents == 0 {
                 // No readiness: reap the connection if it has been
-                // idle past the deadline (the events-mode analogue of
-                // the threaded mode's socket read timeout).
+                // idle past the deadline.
                 if let Some(idle) = idle {
                     if now.duration_since(conns[i].last_activity) >= idle {
                         conns.swap_remove(i);
@@ -375,7 +373,6 @@ where
         return Err(ServeError::Io(e));
     }
     let mut report = server.finish();
-    report.peak_handlers = workers;
     report.stragglers = shared.stragglers.load(Ordering::Relaxed);
     Ok(report)
 }
@@ -426,7 +423,6 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let options = ServeOptions {
             expect_sessions: active,
-            mode: crate::server::ServeMode::Events,
             event_workers: 2,
             ..ServeOptions::default()
         };
@@ -468,13 +464,46 @@ mod tests {
         assert!(report.errors.is_empty(), "{:?}", report.errors);
         assert_eq!(report.sessions.len(), active);
         assert_eq!(report.connections, active + 5);
-        assert_eq!(report.peak_handlers, 2);
         let w = suite::by_name("172.mgrid").unwrap();
         let direct = MonitoringSession::run_limited(&w, &config, 10);
         for session in &report.sessions {
             let summary = session.summary.as_ref().unwrap();
             assert_eq!(format!("{summary:?}"), format!("{direct:?}"));
         }
+    }
+
+    #[test]
+    fn tcp_session_matches_in_process_run() {
+        use std::net::{TcpListener, TcpStream};
+        let config = SessionConfig::new(45_000);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let serving = std::thread::spawn(move || {
+            serve_events(
+                listener,
+                |l| {
+                    let (stream, _) = l.accept()?;
+                    stream.set_nonblocking(true)?;
+                    Ok(stream)
+                },
+                ServeOptions::default(),
+            )
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(&v1_stream("181.mcf", &config, 12))
+            .unwrap();
+        drop(stream);
+        let report = serving.join().unwrap().unwrap();
+
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert_eq!(report.connections, 1);
+        assert_eq!(report.sessions.len(), 1);
+        let w = suite::by_name("181.mcf").unwrap();
+        let direct = MonitoringSession::run_limited(&w, &config, 12);
+        let served = report.sessions[0].summary.as_ref().unwrap();
+        assert_eq!(format!("{served:?}"), format!("{direct:?}"));
     }
 
     #[test]
@@ -486,7 +515,6 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let options = ServeOptions {
             expect_sessions: 1,
-            mode: crate::server::ServeMode::Events,
             event_workers: 1,
             ..ServeOptions::default()
         };

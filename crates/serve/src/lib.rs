@@ -51,8 +51,7 @@
 // `deny` rather than `forbid`: the scoped `allow(unsafe_code)` blocks
 // in this crate are `wire::bulk` (SIMD bulk sample decode behind
 // runtime feature detection) and `event_loop::sys` (direct `poll(2)`
-// declarations against libc, matching the fleet `affinity.rs`
-// precedent).
+// declarations against libc, no external crate).
 #![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
@@ -76,7 +75,7 @@ pub use error::ServeError;
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use journal::{read_journal, record_run, JournalWriter};
 pub use replay::{replay, ReplayOptions, ReplayOutcome, ReplayTenant};
-pub use server::{serve_tcp, ServeMode, ServeOptions, ServeReport, ServedSession, Server};
+pub use server::{ServeOptions, ServeReport, ServedSession, Server};
 pub use snapshot::{load_snapshot, save_snapshot};
 pub use wire::{
     read_frame, write_frame, AdmitFrame, Frame, FrameParser, FrameReader, SnapshotFrame,
@@ -84,4 +83,4 @@ pub use wire::{
 };
 
 #[cfg(unix)]
-pub use server::serve_unix;
+pub use server::{serve_tcp, serve_unix};
