@@ -13,10 +13,9 @@ pub struct Parsed {
 }
 
 /// Flags that take no value.
-const BOOL_FLAGS: [&str; 7] = [
+const BOOL_FLAGS: [&str; 6] = [
     "json",
     "interprocedural",
-    "steal",
     "compress",
     "no-finish",
     "resume",
@@ -128,14 +127,6 @@ mod tests {
     fn bad_value_is_an_error() {
         let p = parse(&argv(&["--period", "abc"])).unwrap();
         assert!(p.value_or("period", 0u64).is_err());
-    }
-
-    #[test]
-    fn steal_is_a_bool_flag() {
-        // `--steal` must not swallow the following argument as a value.
-        let p = parse(&argv(&["--steal", "--batch", "8"])).unwrap();
-        assert!(p.flag("steal"));
-        assert_eq!(p.value_or("batch", 1usize).unwrap(), 8);
     }
 
     #[test]

@@ -28,16 +28,16 @@ regmon — region monitoring for local phase detection (CGO'06 reproduction)
 USAGE:
   regmon list
   regmon run <benchmark> [--period N] [--intervals N] [--skid N] [--interprocedural]
-             [--index linear|tree|flat] [--parallel-attrib N] [--json]
-             [--simd scalar|sse2|avx2] [--trace-out FILE] [--record FILE]
+             [--index linear|tree|flat] [--json] [--simd scalar|sse2|avx2]
+             [--trace-out FILE] [--record FILE]
   regmon features [--simd scalar|sse2|avx2] [--json]
   regmon sweep <benchmark> [--intervals N]
   regmon rto <benchmark> [--period N] [--intervals N]
   regmon baselines <benchmark> [--period N] [--intervals N]
   regmon fleet <benchmark|all> [--tenants N] [--shards N] [--intervals N]
                [--period N] [--queue-depth N] [--policy block|drop-oldest]
-               [--batch N] [--steal] [--pacing lockstep|freerun]
-               [--index linear|tree|flat] [--parallel-attrib N] [--json]
+               [--batch N] [--pacing lockstep|freerun]
+               [--index linear|tree|flat] [--json]
                [--simd scalar|sse2|avx2] [--metrics-every N]
                [--trace-out FILE] [--record DIR]
                [--cpd] [--degrade TENANT:INTERVAL]
@@ -109,11 +109,20 @@ Change-point detection: `fleet --cpd` runs streaming E-divisive
 detectors over every tenant's UCR and per-region r/rt series plus
 per-shard queue stalls, reporting which series shifted, at which
 interval, by how much, and with what permutation-test confidence —
-deterministically (byte-identical across batch/steal/simd, and the
+deterministically (byte-identical across batch/simd, and the
 JSON without `--cpd` is unchanged). `--degrade TENANT:INTERVAL` plants
 a synthetic regression to exercise it. Offline, `regmon cpd --trace`
 re-hunts a recorded trace artifact and finds the same points, and
 `regmon cpd --bench` watches the committed BENCH_*.json history.";
+
+/// Reads `--period` (default `default`) for the single-period commands.
+/// Zero is rejected here, before any sampler is built.
+fn period(p: &Parsed, default: u64) -> Result<u64, String> {
+    match p.value_or("period", default)? {
+        0 => Err("--period must be positive".into()),
+        period => Ok(period),
+    }
+}
 
 /// Applies a `--simd LEVEL` override: the in-process equivalent of
 /// setting `REGMON_SIMD`, scoped to this invocation. Safe to dial
@@ -213,7 +222,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let p = parse(argv)?;
     apply_simd_flag(&p)?;
     let w = workload(p.positional(0))?;
-    let period: u64 = p.value_or("period", 45_000)?;
+    let period = period(&p, 45_000)?;
     let intervals: usize = p.value_or("intervals", 200)?;
     let skid: u64 = p.value_or("skid", 0)?;
     if skid >= period {
@@ -223,7 +232,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     config.sampling = config.sampling.with_skid(skid);
     config.formation.interprocedural = p.flag("interprocedural");
     config.index = IndexKind::parse(&p.value_or("index", "tree".to_string())?)?;
-    config.parallel_attrib = p.value_or("parallel-attrib", 0)?;
     let trace_out: String = p.value_or("trace-out", String::new())?;
     let record: String = p.value_or("record", String::new())?;
     let json = p.flag("json");
@@ -405,7 +413,7 @@ pub fn sweep(argv: &[String]) -> Result<(), String> {
 pub fn rto(argv: &[String]) -> Result<(), String> {
     let p = parse(argv)?;
     let w = workload(p.positional(0))?;
-    let period: u64 = p.value_or("period", 800_000)?;
+    let period = period(&p, 800_000)?;
     let intervals: usize = p.value_or("intervals", usize::MAX)?;
     p.reject_unread()?;
     let mut config = RtoConfig::new(period);
@@ -454,10 +462,8 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     let queue_depth: usize = p.value_or("queue-depth", 16)?;
     let policy = QueuePolicy::parse(&p.value_or("policy", "block".to_string())?)?;
     let batch: usize = p.value_or("batch", 1)?;
-    let steal = p.flag("steal");
     let pacing = Pacing::parse(&p.value_or("pacing", "lockstep".to_string())?)?;
     let index = IndexKind::parse(&p.value_or("index", "tree".to_string())?)?;
-    let parallel_attrib: usize = p.value_or("parallel-attrib", 0)?;
     let metrics_every: usize = p.value_or("metrics-every", 0)?;
     let trace_out: String = p.value_or("trace-out", String::new())?;
     let record: String = p.value_or("record", String::new())?;
@@ -525,7 +531,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
         };
         let mut config = SessionConfig::new(tenant_period);
         config.index = index;
-        config.parallel_attrib = parallel_attrib;
         if !record.is_empty() {
             // One single-tenant journal per tenant (wire tenant id 0 in
             // each file), replayable with `regmon replay`.
@@ -548,7 +553,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     let config = FleetConfig::new(shards, queue_depth)
         .with_policy(policy)
         .with_batch(batch)
-        .with_steal(steal)
         .with_pacing(pacing)
         .with_metrics_every(metrics_every)
         .with_cpd(cpd_on);
@@ -622,7 +626,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
                     ),
                     ("dropped_intervals", Json::Num(s.dropped_intervals as f64)),
                     ("queue_high_water", Json::Num(s.queue_high_water as f64)),
-                    ("tenants_stolen", Json::Num(s.tenants_stolen as f64)),
                     ("batch_sizes", Json::obj(histogram)),
                 ])
             })
@@ -634,7 +637,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
             ("intervals", Json::Num(intervals as f64)),
             ("queue_depth", Json::Num(queue_depth as f64)),
             ("batch", Json::Num(batch as f64)),
-            ("steal", Json::Bool(steal)),
             // The host capability, not the active level: this document
             // stays byte-identical with --simd on or off (the active
             // setting lives in `regmon features`).
@@ -679,7 +681,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
                         "backpressure_stalls",
                         Json::Num(agg.backpressure_stalls as f64),
                     ),
-                    ("tenants_migrated", Json::Num(agg.tenants_migrated as f64)),
                     ("gpd_phase_changes", Json::Num(agg.gpd_phase_changes as f64)),
                     (
                         "gpd_stable_fraction_mean",
@@ -708,12 +709,11 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "== fleet: {target} x {tenants} tenants over {shards} shards (depth {queue_depth}, {policy:?}, batch {batch}{}) ==",
-        if steal { ", steal" } else { "" }
+        "== fleet: {target} x {tenants} tenants over {shards} shards (depth {queue_depth}, {policy:?}, batch {batch}) =="
     );
     println!(
-        "completed {}  evicted {}  failed {}  restarts {}  migrations {}",
-        agg.completed, agg.evicted, agg.failed, agg.restarts, agg.tenants_migrated
+        "completed {}  evicted {}  failed {}  restarts {}",
+        agg.completed, agg.evicted, agg.failed, agg.restarts
     );
     println!(
         "intervals {} produced / {} processed  drops {}  stalls {}",
@@ -737,8 +737,8 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
         report.wall_ms
     );
     println!(
-        "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11} {:>7}  batch sizes",
-        "shard", "tenants", "messages", "stalls", "drops", "high-water", "stolen"
+        "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11}  batch sizes",
+        "shard", "tenants", "messages", "stalls", "drops", "high-water"
     );
     for s in &report.shards {
         let histogram = (0..BATCH_BUCKETS)
@@ -747,14 +747,13 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
             .collect::<Vec<_>>()
             .join(" ");
         println!(
-            "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11} {:>7}  {}",
+            "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11}  {}",
             s.shard,
             s.tenants,
             s.messages_processed,
             s.backpressure_stalls,
             s.dropped_intervals,
             s.queue_high_water,
-            s.tenants_stolen,
             histogram
         );
     }
@@ -1633,7 +1632,7 @@ fn cpd_over_bench_history(list: &str) -> Result<Vec<ChangePointRow>, String> {
 pub fn baselines(argv: &[String]) -> Result<(), String> {
     let p = parse(argv)?;
     let w = workload(p.positional(0))?;
-    let period: u64 = p.value_or("period", 45_000)?;
+    let period = period(&p, 45_000)?;
     let intervals: usize = p.value_or("intervals", 400)?;
     p.reject_unread()?;
 

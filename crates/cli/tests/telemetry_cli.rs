@@ -1,7 +1,7 @@
 //! Telemetry must be a pure observer: enabling the journal, the trace
 //! writer and the periodic exposition may not perturb a lockstep
-//! fleet's `--json` output by a single byte, across the batching and
-//! stealing matrix. Also smoke-tests the `regmon metrics` surface
+//! fleet's `--json` output by a single byte, at every batching factor.
+//! Also smoke-tests the `regmon metrics` surface
 //! end-to-end through the real binary.
 
 use std::process::Command;
@@ -30,46 +30,41 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 #[test]
 fn fleet_json_is_byte_identical_with_telemetry_on() {
     for &batch in &["1", "8"] {
-        for &steal in &[false, true] {
-            let mut base = vec![
-                "fleet",
-                "all",
-                "--tenants",
-                "8",
-                "--shards",
-                "2",
-                "--intervals",
-                "10",
-                "--batch",
-                batch,
-                "--json",
-            ];
-            if steal {
-                base.push("--steal");
-            }
-            let (ok, plain, _) = regmon(&base);
-            assert!(ok, "plain fleet run failed (batch {batch}, steal {steal})");
+        let base = vec![
+            "fleet",
+            "all",
+            "--tenants",
+            "8",
+            "--shards",
+            "2",
+            "--intervals",
+            "10",
+            "--batch",
+            batch,
+            "--json",
+        ];
+        let (ok, plain, _) = regmon(&base);
+        assert!(ok, "plain fleet run failed (batch {batch})");
 
-            let trace = temp_path(&format!("trace_b{batch}_s{steal}.json"));
-            let trace_str = trace.to_str().expect("utf8 temp path");
-            let mut instrumented = base.clone();
-            instrumented.extend(["--metrics-every", "1", "--trace-out", trace_str]);
-            let (ok, traced, stderr) = regmon(&instrumented);
-            assert!(ok, "instrumented fleet run failed: {stderr}");
+        let trace = temp_path(&format!("trace_b{batch}.json"));
+        let trace_str = trace.to_str().expect("utf8 temp path");
+        let mut instrumented = base.clone();
+        instrumented.extend(["--metrics-every", "1", "--trace-out", trace_str]);
+        let (ok, traced, stderr) = regmon(&instrumented);
+        assert!(ok, "instrumented fleet run failed: {stderr}");
 
-            assert_eq!(
-                plain, traced,
-                "telemetry changed fleet --json output (batch {batch}, steal {steal})"
-            );
-            // The periodic exposition goes to stderr, never stdout.
-            assert!(
-                stderr.contains("regmon_intervals_processed_total"),
-                "--metrics-every 1 produced no exposition on stderr"
-            );
-            let written = std::fs::read_to_string(&trace).expect("trace file written");
-            assert!(written.contains("\"traceEvents\""));
-            std::fs::remove_file(&trace).ok();
-        }
+        assert_eq!(
+            plain, traced,
+            "telemetry changed fleet --json output (batch {batch})"
+        );
+        // The periodic exposition goes to stderr, never stdout.
+        assert!(
+            stderr.contains("regmon_intervals_processed_total"),
+            "--metrics-every 1 produced no exposition on stderr"
+        );
+        let written = std::fs::read_to_string(&trace).expect("trace file written");
+        assert!(written.contains("\"traceEvents\""));
+        std::fs::remove_file(&trace).ok();
     }
 }
 

@@ -35,12 +35,6 @@ pub struct SessionConfig {
     pub lpd: LpdConfig,
     /// Optional cold-region pruning.
     pub pruning: Option<PruningConfig>,
-    /// Worker threads for sample attribution. `0` or `1` keeps the
-    /// serial zero-allocation arena path; larger values split each
-    /// interval's samples across scoped threads sharing the index
-    /// (results are identical — see
-    /// [`regmon_regions::RegionMonitor::attribute_parallel`]).
-    pub parallel_attrib: usize,
 }
 
 impl SessionConfig {
@@ -54,7 +48,6 @@ impl SessionConfig {
             gpd: GpdConfig::default(),
             lpd: LpdConfig::default(),
             pruning: None,
-            parallel_attrib: 0,
         }
     }
 }
@@ -207,15 +200,10 @@ impl MonitoringSession {
         }
 
         // The zero-allocation hot path: samples are attributed into the
-        // monitor's reusable arena (optionally across scoped worker
-        // threads) and every downstream consumer reads the borrow-based
-        // arena report — no per-interval maps or histogram copies.
-        if self.config.parallel_attrib > 1 {
-            self.monitor
-                .attribute_parallel(&interval.samples, self.config.parallel_attrib);
-        } else {
-            self.monitor.attribute(&interval.samples);
-        }
+        // monitor's reusable arena and every downstream consumer reads
+        // the borrow-based arena report — no per-interval maps or
+        // histogram copies.
+        self.monitor.attribute(&interval.samples);
         let ucr_fraction = self.monitor.report().ucr_fraction();
         self.ucr.record(ucr_fraction);
 

@@ -9,7 +9,7 @@
 //! [`run_single`] is the one-process case: a fleet of one.
 //!
 //! - **Sharding** — a tenant with id `i` is owned by shard
-//!   `i % shards`; each shard worker single-threadedly owns its
+//!   `i % shards` for its whole life; each shard worker single-threadedly owns its
 //!   tenants' sessions, so sessions need no locks and the fleet scales
 //!   by adding shards.
 //! - **Backpressure** — per-shard bounded queues with
@@ -75,8 +75,8 @@ pub use cpdfeed::{CpdFeed, CpdReport};
 pub use driver::{run_fleet, ControlAction, FleetConfig, Pacing, Schedule};
 pub use engine::{EngineConfig, FleetEngine, ShardHold};
 pub use queue::{
-    batch_bucket_label, BoundedQueue, Closed, Droppable, Popped, PushError, QueuePolicy,
-    QueueStats, RingQueue, BATCH_BUCKETS,
+    batch_bucket_label, BoundedQueue, Closed, Droppable, QueuePolicy, QueueStats, RingQueue,
+    BATCH_BUCKETS,
 };
 pub use report::{FleetAggregate, FleetReport, FleetSnapshot, ShardReport, TenantReport};
 pub use shard::{ShardFinal, ShardSnapshot, TenantSnapshot};

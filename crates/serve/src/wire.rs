@@ -413,8 +413,8 @@ pub fn encode_config(config: &SessionConfig, out: &mut Vec<u8>) {
             push_u64(out, p.min_samples);
         }
     }
-    // Attribution parallelism.
-    push_u64(out, config.parallel_attrib as u64);
+    // Reserved word, always 0; the slot stays so recorded bytes match.
+    push_u64(out, 0);
 }
 
 pub(crate) fn decode_config(cur: &mut Cursor<'_>) -> Result<SessionConfig, WireError> {
@@ -507,7 +507,8 @@ pub(crate) fn decode_config(cur: &mut Cursor<'_>) -> Result<SessionConfig, WireE
         _ => return Err(WireError::Malformed("bad pruning flag")),
     };
 
-    let parallel_attrib = cur.usize_field()?;
+    // Reserved word: older journals may hold a nonzero value; ignore it.
+    cur.usize_field()?;
 
     Ok(SessionConfig {
         sampling,
@@ -516,7 +517,6 @@ pub(crate) fn decode_config(cur: &mut Cursor<'_>) -> Result<SessionConfig, WireE
         gpd,
         lpd,
         pruning,
-        parallel_attrib,
     })
 }
 
@@ -1517,7 +1517,6 @@ mod tests {
             cold_intervals: 9,
             min_samples: 3,
         });
-        config.parallel_attrib = 4;
         config
     }
 
@@ -1577,6 +1576,25 @@ mod tests {
         let decoded = decode_config(&mut cur).unwrap();
         cur.finish().unwrap();
         assert_eq!(decoded, config);
+    }
+
+    #[test]
+    fn reserved_config_word_is_ignored_on_decode() {
+        // Frames recorded with an attribution thread count carry it in
+        // the trailing reserved word; it must not change the config.
+        let mut bytes = Vec::new();
+        encode_config(&sample_config(), &mut bytes);
+        let reserved = bytes.len() - 8;
+        assert_eq!(bytes[reserved..], [0; 8], "encoder writes 0");
+        let decode = |bytes: &[u8]| {
+            let mut cur = Cursor::new(bytes);
+            let config = decode_config(&mut cur).unwrap();
+            cur.finish().unwrap();
+            config
+        };
+        let zero = decode(&bytes);
+        bytes[reserved..].copy_from_slice(&4u64.to_le_bytes());
+        assert_eq!(decode(&bytes), zero);
     }
 
     #[test]

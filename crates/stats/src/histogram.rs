@@ -18,18 +18,15 @@ pub const ACCUMULATE_LANES: usize = 8;
 
 /// Adds `src` into `dst` slot-wise: `dst[i] += src[i]`.
 ///
-/// This is the histogram-accumulate kernel used by batch attribution
-/// (merging per-chunk scratch histograms into the attribution arena) and
-/// by [`CountHistogram::accumulate`]'s overflow-free fast path. The body
-/// dispatches on [`crate::simd::active`]: explicit SSE2/AVX2 packed
+/// This is the histogram-accumulate kernel the telemetry registry uses
+/// to merge its striped histogram buckets. The body dispatches on [`crate::simd::active`]: explicit SSE2/AVX2 packed
 /// 64-bit adds on x86-64, with the former lane-structured loop kept as
 /// the scalar fallback and property-test oracle
 /// ([`crate::simd::accumulate_u64_scalar`]). Wrapping integer addition
 /// is exactly reassociable, so every level is bitwise identical.
 ///
 /// Overflow is the *caller's* obligation (debug builds assert): callers
-/// must guarantee `dst[i] + src[i]` fits in a `u64`, which
-/// [`CountHistogram::accumulate`] derives from its total-count check.
+/// must guarantee `dst[i] + src[i]` fits in a `u64`.
 ///
 /// # Panics
 ///
@@ -206,46 +203,6 @@ impl CountHistogram {
         self.total = other.total;
     }
 
-    /// Adds the counts of `other` into `self` slot-wise.
-    ///
-    /// Like [`CountHistogram::record_n`], counts saturate at `u64::MAX`
-    /// rather than wrapping (debug builds assert).
-    ///
-    /// **Fast path:** every well-formed histogram maintains
-    /// `counts[i] <= total` (records and accumulates bump the total by at
-    /// least as much as any slot). So when the two *totals* sum without
-    /// overflow, no individual slot pair can overflow either, and the
-    /// merge takes the branch-free vectorized [`add_slots`] kernel — this
-    /// is the hot merge in batch attribution, where per-chunk scratch
-    /// histograms fold into the arena once per region per interval. The
-    /// saturating scalar loop only runs in the (pathological) near-`u64`
-    /// regime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot counts differ.
-    pub fn accumulate(&mut self, other: &Self) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "histograms describe different regions"
-        );
-        if let Some(total) = self.total.checked_add(other.total) {
-            add_slots(&mut self.counts, &other.counts);
-            self.total = total;
-        } else {
-            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                debug_assert!(a.checked_add(*b).is_some(), "histogram count overflow");
-                *a = a.saturating_add(*b);
-            }
-            debug_assert!(
-                self.total.checked_add(other.total).is_some(),
-                "histogram total overflow"
-            );
-            self.total = self.total.saturating_add(other.total);
-        }
-    }
-
     /// Per-slot fractions of the total (an all-zero vector when empty).
     #[must_use]
     pub fn normalized(&self) -> Vec<f64> {
@@ -357,11 +314,10 @@ mod tests {
 
     #[test]
     fn accumulate_adds_slotwise() {
-        let mut a = CountHistogram::from_counts(vec![1, 2]);
-        let b = CountHistogram::from_counts(vec![10, 20]);
-        a.accumulate(&b);
-        assert_eq!(a.counts(), &[11, 22]);
-        assert_eq!(a.total(), 33);
+        // The public entry point dispatches on the active level.
+        let mut dst = vec![1u64, 2, 3];
+        add_slots(&mut dst, &[10, 20, 30]);
+        assert_eq!(dst, vec![11, 22, 33]);
     }
 
     #[test]
@@ -382,10 +338,6 @@ mod tests {
                 assert_eq!(dst, expect, "level {} len {len}", level.label());
             }
         }
-        // And the public entry point dispatches on the active level.
-        let mut dst = vec![1u64, 2, 3];
-        add_slots(&mut dst, &[10, 20, 30]);
-        assert_eq!(dst, vec![11, 22, 33]);
     }
 
     #[test]
@@ -396,8 +348,9 @@ mod tests {
 
     #[test]
     fn accumulate_fast_path_equals_record_sequence() {
-        // Folding B into A via the vectorized kernel must equal recording
-        // both sample streams into one histogram.
+        // Folding B's slots into A with the vectorized kernel, then
+        // accounting for them as bulk records, must equal recording both
+        // sample streams into one histogram.
         let mut via_accumulate = CountHistogram::new(19);
         let mut via_records = CountHistogram::new(19);
         let mut b = CountHistogram::new(19);
@@ -410,7 +363,8 @@ mod tests {
             }
             via_records.record(slot);
         }
-        via_accumulate.accumulate(&b);
+        add_slots(via_accumulate.counts_mut(), b.counts());
+        via_accumulate.note_bulk_records(b.total());
         assert_eq!(via_accumulate, via_records);
     }
 
@@ -471,16 +425,17 @@ mod tests {
         ) {
             let n = a.len().min(b.len());
             let (a, b) = (&a[..n], &b[..n]);
-            let mut ab = CountHistogram::from_counts(a.to_vec());
-            ab.accumulate(&CountHistogram::from_counts(b.to_vec()));
-            let mut ba = CountHistogram::from_counts(b.to_vec());
-            ba.accumulate(&CountHistogram::from_counts(a.to_vec()));
+            let mut ab = a.to_vec();
+            add_slots(&mut ab, b);
+            let mut ba = b.to_vec();
+            add_slots(&mut ba, a);
             prop_assert_eq!(ab, ba);
         }
     }
 
-    // Saturation behavior: release builds pin at u64::MAX instead of
-    // wrapping; debug builds treat the overflow as a logic error.
+    // Saturation behavior: release builds pin records at u64::MAX
+    // instead of wrapping; debug builds treat any count overflow,
+    // including one in the `add_slots` kernel, as a logic error.
 
     #[test]
     #[cfg(not(debug_assertions))]
@@ -495,16 +450,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(debug_assertions))]
-    fn accumulate_saturates_instead_of_wrapping() {
-        let mut a = CountHistogram::from_counts(vec![u64::MAX - 2, 1]);
-        let b = CountHistogram::from_counts(vec![10, 1]);
-        a.accumulate(&b);
-        assert_eq!(a.counts(), &[u64::MAX, 2]);
-        assert_eq!(a.total(), u64::MAX);
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "histogram count overflow")]
     fn record_n_overflow_is_a_debug_assertion() {
@@ -514,9 +459,8 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "histogram count overflow")]
+    #[should_panic(expected = "slot add overflow")]
     fn accumulate_overflow_is_a_debug_assertion() {
-        let mut a = CountHistogram::from_counts(vec![u64::MAX - 2]);
-        a.accumulate(&CountHistogram::from_counts(vec![10]));
+        add_slots(&mut [u64::MAX - 2], &[10]);
     }
 }

@@ -36,6 +36,17 @@ cargo test -q
 step "cargo test (REGMON_SIMD=scalar — vector kernels must be bitwise-inert)"
 REGMON_SIMD=scalar cargo test -q
 
+# The five files holding `unsafe` code (SIMD kernels and the poll(2)
+# FFI) live in these three crates; run their tests under AddressSanitizer.
+if cargo +nightly --version >/dev/null 2>&1; then
+  step "cargo +nightly test under AddressSanitizer (stats, regions, serve)"
+  RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
+    cargo +nightly test -q --target x86_64-unknown-linux-gnu \
+    -p regmon-stats -p regmon-regions -p regmon-serve --lib --tests
+else
+  echo "nightly toolchain unavailable; skipping AddressSanitizer step" >&2
+fi
+
 step "fleet JSON determinism"
 a="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --json)"
 b="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --json)"
@@ -64,11 +75,11 @@ if [[ "$a" != "$s" ]]; then
   exit 1
 fi
 
-step "fleet JSON determinism (batched + stealing)"
-a="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --steal --json)"
-b="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --steal --json)"
+step "fleet JSON determinism (batched)"
+a="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --json)"
+b="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --json)"
 if [[ "$a" != "$b" ]]; then
-  echo "FAIL: fleet --batch 8 --steal --json differed between identical runs" >&2
+  echo "FAIL: fleet --batch 8 --json differed between identical runs" >&2
   exit 1
 fi
 

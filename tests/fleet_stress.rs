@@ -139,13 +139,13 @@ fn freerun_drop_oldest_drops_deterministically() {
     assert_eq!(t.state, TenantState::Completed);
 }
 
-/// Freerun work stealing under a pathological skew: every heavy tenant
-/// is homed on shard 0 (throttled, long-running) while shard 1's
-/// tenants finish almost immediately. The idle worker must adopt
-/// tenant leases from the backlogged peer — and despite the migrations
-/// every summary must still match `run_limited` byte-for-byte.
+/// Freerun under a pathological skew: every heavy tenant is homed on
+/// shard 0 (throttled, long-running) while shard 1's tenants finish
+/// almost immediately. Shard 0's backlog must not lose, duplicate or
+/// reorder a single interval: every summary still matches
+/// `run_limited` byte-for-byte.
 #[test]
-fn freerun_steal_rebalances_and_preserves_summaries() {
+fn freerun_skewed_load_preserves_summaries() {
     let names = suite::names();
     let specs: Vec<TenantSpec> = (0..12)
         .map(|i| {
@@ -171,43 +171,26 @@ fn freerun_steal_rebalances_and_preserves_summaries() {
     let config = FleetConfig::new(2, 4)
         .with_policy(QueuePolicy::Block)
         .with_pacing(Pacing::Freerun)
-        .with_batch(4)
-        .with_steal(true);
+        .with_batch(4);
+    let report = run_fleet(&config, &specs, &Schedule::new());
 
-    // Whether a steal fires at all depends on the host scheduler: a
-    // starved run can drain shard 0 before shard 1 ever goes idle. The
-    // correctness invariants must hold on *every* run; the migration
-    // count only has to be demonstrated on one of a few attempts.
-    let mut stole = false;
-    for _ in 0..5 {
-        let report = run_fleet(&config, &specs, &Schedule::new());
-
-        assert_eq!(report.aggregate.completed, 12);
-        assert_eq!(report.aggregate.dropped_intervals, 0, "Block never drops");
-        assert_eq!(
-            report.aggregate.intervals_produced, report.aggregate.intervals_processed,
-            "stealing must not lose or duplicate intervals"
-        );
-        for (i, expect) in reference.iter().enumerate() {
-            let summary = report.tenants[i]
-                .summary
-                .as_ref()
-                .expect("completed tenant has a summary");
-            assert_eq!(
-                expect,
-                &format!("{summary:?}"),
-                "tenant {i} diverged under work stealing"
-            );
-        }
-        if report.aggregate.tenants_migrated > 0 {
-            stole = true;
-            break;
-        }
-    }
-    assert!(
-        stole,
-        "idle shard 1 never stole from the throttled shard 0 backlog in 5 runs"
+    assert_eq!(report.aggregate.completed, 12);
+    assert_eq!(report.aggregate.dropped_intervals, 0, "Block never drops");
+    assert_eq!(
+        report.aggregate.intervals_produced, report.aggregate.intervals_processed,
+        "skew must not lose or duplicate intervals"
     );
+    for (i, expect) in reference.iter().enumerate() {
+        let summary = report.tenants[i]
+            .summary
+            .as_ref()
+            .expect("completed tenant has a summary");
+        assert_eq!(
+            expect,
+            &format!("{summary:?}"),
+            "tenant {i} diverged under skewed load"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
