@@ -16,8 +16,8 @@
 //!   acceptance criterion is measured against.
 //! * `ring` — today's `RingQueue`: fixed-capacity ring storage,
 //!   waiter-gated notifications (uncontended pushes are syscall-free)
-//!   and `--batch N` interval coalescing (one message per N intervals
-//!   of one tenant, exactly like the driver's shipping policy).
+//!   and N-interval coalescing (one message per N intervals of one
+//!   tenant, as serve ships its wire batches).
 //! * `wire` — the `regmon serve` ingest path: pre-encoded
 //!   `regmon-wire-v1` Batch frames are CRC-checked and decoded on the
 //!   producer side (as a connection thread would) and the decoded
@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use regmon_binary::Addr;
 use regmon_cpd::{CpdHub, Metric, SeriesKey, StreamConfig, NO_REGION};
-use regmon_fleet::{Droppable, QueuePolicy, RingQueue};
+use regmon_fleet::{Droppable, RingQueue};
 use regmon_sampling::{Interval, PcSample};
 use regmon_serve::wire::{read_frame, Frame, WireDialect};
 use regmon_stats::{simd, SimdLevel};
@@ -66,10 +66,6 @@ enum Msg {
 }
 
 impl Droppable for Msg {
-    fn droppable(&self) -> bool {
-        true
-    }
-
     fn units(&self) -> Option<usize> {
         match self {
             Msg::Interval(..) => Some(1),
@@ -284,7 +280,7 @@ fn run_ring(shape: Shape) -> f64 {
     run_ingest(
         shape,
         queues,
-        |q, msg| q.push(msg, QueuePolicy::Block).expect("queue open"),
+        |q, msg| q.push(msg).expect("queue open"),
         RingQueue::pop,
         RingQueue::close,
     )
@@ -368,7 +364,7 @@ fn run_wire(shape: Shape, frames: &[(usize, Vec<u8>)]) -> f64 {
             unreachable!("only Batch frames are encoded")
         };
         queues[*shard]
-            .push(Msg::Wire(tenant, intervals), QueuePolicy::Block)
+            .push(Msg::Wire(tenant, intervals))
             .expect("queue open");
     }
     for q in &queues {

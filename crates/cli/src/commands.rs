@@ -10,8 +10,8 @@ use regmon::{MonitoringSession, SessionConfig, SessionSummary};
 use regmon_baselines::{BbvConfig, BbvDetector, WssConfig, WssDetector};
 use regmon_cpd::{CpdHub, EDivConfig, Metric, SeriesKey, StreamConfig, NO_REGION, NO_TENANT};
 use regmon_fleet::{
-    batch_bucket_label, run_fleet, CpdReport, FleetConfig, Pacing, QueuePolicy, Schedule,
-    TenantSpec, BATCH_BUCKETS,
+    batch_bucket_label, run_fleet, CpdReport, FleetConfig, Schedule, TenantSpec, BATCH_BUCKETS,
+    MAX_QUEUE_DEPTH,
 };
 use regmon_serve::replay::ReplayOptions;
 use regmon_serve::server::{ServeOptions, ServeReport};
@@ -35,8 +35,7 @@ USAGE:
   regmon rto <benchmark> [--period N] [--intervals N]
   regmon baselines <benchmark> [--period N] [--intervals N]
   regmon fleet <benchmark|all> [--tenants N] [--shards N] [--intervals N]
-               [--period N] [--queue-depth N] [--policy block|drop-oldest]
-               [--batch N] [--pacing lockstep|freerun]
+               [--period N] [--queue-depth N]
                [--index linear|tree|flat] [--json]
                [--simd scalar|sse2|avx2] [--metrics-every N]
                [--trace-out FILE] [--record DIR]
@@ -109,11 +108,22 @@ Change-point detection: `fleet --cpd` runs streaming E-divisive
 detectors over every tenant's UCR and per-region r/rt series plus
 per-shard queue stalls, reporting which series shifted, at which
 interval, by how much, and with what permutation-test confidence —
-deterministically (byte-identical across batch/simd, and the
-JSON without `--cpd` is unchanged). `--degrade TENANT:INTERVAL` plants
-a synthetic regression to exercise it. Offline, `regmon cpd --trace`
-re-hunts a recorded trace artifact and finds the same points, and
-`regmon cpd --bench` watches the committed BENCH_*.json history.";
+deterministically (byte-identical across shard counts and simd
+levels, and the JSON without `--cpd` is unchanged).
+`--degrade TENANT:INTERVAL` plants a synthetic regression to exercise
+it. Offline, `regmon cpd --trace` re-hunts a recorded trace artifact
+and finds the same points, and `regmon cpd --bench` watches the
+committed BENCH_*.json history.";
+
+/// Rejects a `--queue-depth` past [`MAX_QUEUE_DEPTH`]: every slot of a
+/// shard queue is allocated up front, so a huge depth would abort the
+/// process instead of failing with a message.
+fn check_queue_depth(depth: usize) -> Result<(), String> {
+    if depth > MAX_QUEUE_DEPTH {
+        return Err(format!("--queue-depth must be at most {MAX_QUEUE_DEPTH}"));
+    }
+    Ok(())
+}
 
 /// Reads `--period` (default `default`) for the single-period commands.
 /// Zero is rejected here, before any sampler is built.
@@ -460,9 +470,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     let intervals: usize = p.value_or("intervals", 50)?;
     let period: u64 = p.value_or("period", 0)?;
     let queue_depth: usize = p.value_or("queue-depth", 16)?;
-    let policy = QueuePolicy::parse(&p.value_or("policy", "block".to_string())?)?;
-    let batch: usize = p.value_or("batch", 1)?;
-    let pacing = Pacing::parse(&p.value_or("pacing", "lockstep".to_string())?)?;
     let index = IndexKind::parse(&p.value_or("index", "tree".to_string())?)?;
     let metrics_every: usize = p.value_or("metrics-every", 0)?;
     let trace_out: String = p.value_or("trace-out", String::new())?;
@@ -471,16 +478,10 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     let degrade: String = p.value_or("degrade", String::new())?;
     let json = p.flag("json");
     p.reject_unread()?;
-    if tenants == 0 || shards == 0 || intervals == 0 || queue_depth == 0 || batch == 0 {
-        return Err("--tenants/--shards/--intervals/--queue-depth/--batch must be positive".into());
+    if tenants == 0 || shards == 0 || intervals == 0 || queue_depth == 0 {
+        return Err("--tenants/--shards/--intervals/--queue-depth must be positive".into());
     }
-    if cpd_on && pacing == Pacing::Freerun {
-        return Err(
-            "--cpd needs --pacing lockstep (the detector is driven off the deterministic \
-             round tick)"
-                .into(),
-        );
-    }
+    check_queue_depth(queue_depth)?;
     let degrade: Option<(usize, usize)> = if degrade.is_empty() {
         None
     } else {
@@ -551,9 +552,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     }
 
     let config = FleetConfig::new(shards, queue_depth)
-        .with_policy(policy)
-        .with_batch(batch)
-        .with_pacing(pacing)
         .with_metrics_every(metrics_every)
         .with_cpd(cpd_on);
     let report = run_fleet(&config, &specs, &Schedule::new());
@@ -624,7 +622,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
                         "backpressure_stalls",
                         Json::Num(s.backpressure_stalls as f64),
                     ),
-                    ("dropped_intervals", Json::Num(s.dropped_intervals as f64)),
                     ("queue_high_water", Json::Num(s.queue_high_water as f64)),
                     ("batch_sizes", Json::obj(histogram)),
                 ])
@@ -636,31 +633,10 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
             ("shards", Json::Num(shards as f64)),
             ("intervals", Json::Num(intervals as f64)),
             ("queue_depth", Json::Num(queue_depth as f64)),
-            ("batch", Json::Num(batch as f64)),
             // The host capability, not the active level: this document
             // stays byte-identical with --simd on or off (the active
             // setting lives in `regmon features`).
             ("host_simd", Json::Str(simd::detected().label().to_string())),
-            (
-                "pacing",
-                Json::Str(
-                    match pacing {
-                        Pacing::Lockstep => "lockstep",
-                        Pacing::Freerun => "freerun",
-                    }
-                    .to_string(),
-                ),
-            ),
-            (
-                "policy",
-                Json::Str(
-                    match policy {
-                        QueuePolicy::Block => "block",
-                        QueuePolicy::DropOldest => "drop-oldest",
-                    }
-                    .to_string(),
-                ),
-            ),
             (
                 "aggregate",
                 Json::obj(vec![
@@ -676,7 +652,6 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
                         "intervals_processed",
                         Json::Num(agg.intervals_processed as f64),
                     ),
-                    ("dropped_intervals", Json::Num(agg.dropped_intervals as f64)),
                     (
                         "backpressure_stalls",
                         Json::Num(agg.backpressure_stalls as f64),
@@ -709,18 +684,15 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "== fleet: {target} x {tenants} tenants over {shards} shards (depth {queue_depth}, {policy:?}, batch {batch}) =="
+        "== fleet: {target} x {tenants} tenants over {shards} shards (depth {queue_depth}) =="
     );
     println!(
         "completed {}  evicted {}  failed {}  restarts {}",
         agg.completed, agg.evicted, agg.failed, agg.restarts
     );
     println!(
-        "intervals {} produced / {} processed  drops {}  stalls {}",
-        agg.intervals_produced,
-        agg.intervals_processed,
-        agg.dropped_intervals,
-        agg.backpressure_stalls
+        "intervals {} produced / {} processed  stalls {}",
+        agg.intervals_produced, agg.intervals_processed, agg.backpressure_stalls
     );
     println!(
         "GPD {} changes ({:.1}% stable mean)   LPD {} changes ({:.1}% stable mean)",
@@ -737,8 +709,8 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
         report.wall_ms
     );
     println!(
-        "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11}  batch sizes",
-        "shard", "tenants", "messages", "stalls", "drops", "high-water"
+        "{:>5} {:>8} {:>10} {:>8} {:>11}  batch sizes",
+        "shard", "tenants", "messages", "stalls", "high-water"
     );
     for s in &report.shards {
         let histogram = (0..BATCH_BUCKETS)
@@ -747,12 +719,11 @@ pub fn fleet(argv: &[String]) -> Result<(), String> {
             .collect::<Vec<_>>()
             .join(" ");
         println!(
-            "{:>5} {:>8} {:>10} {:>8} {:>8} {:>11}  {}",
+            "{:>5} {:>8} {:>10} {:>8} {:>11}  {}",
             s.shard,
             s.tenants,
             s.messages_processed,
             s.backpressure_stalls,
-            s.dropped_intervals,
             s.queue_high_water,
             histogram
         );
@@ -939,6 +910,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             "--shards/--queue-depth/--expect-sessions/--event-workers must be positive".into(),
         );
     }
+    check_queue_depth(options.queue_depth)?;
     let trace_out: String = p.value_or("trace-out", String::new())?;
     let json = p.flag("json");
     p.reject_unread()?;

@@ -162,6 +162,8 @@ fn fleet_json_is_deterministic_across_runs() {
     assert_eq!(line.matches('{').count(), line.matches('}').count());
 }
 
+/// A single benchmark over depth-1 queues: 3 tenants per shard stall
+/// twice in each of the 7 full rounds, and every interval arrives.
 #[test]
 fn fleet_single_benchmark_and_drop_policy() {
     let (ok, stdout, _) = regmon(&[
@@ -175,34 +177,54 @@ fn fleet_single_benchmark_and_drop_policy() {
         "8",
         "--queue-depth",
         "1",
-        "--policy",
-        "drop-oldest",
     ]);
     assert!(ok);
     assert!(stdout.contains("181.mcf"));
     assert!(stdout.contains("completed 6"));
+    assert!(
+        stdout.contains("48 produced / 48 processed  stalls 28"),
+        "{stdout}"
+    );
 }
 
 #[test]
 fn fleet_rejects_bad_policy_and_zero_sizes() {
     let (ok, _, stderr) = regmon(&["fleet", "all", "--policy", "newest-wins"]);
     assert!(!ok);
-    assert!(stderr.contains("queue policy"));
-    for spelling in ["block", "drop-oldest", "drop_oldest", "dropoldest", "drop"] {
-        assert!(
-            stderr.contains(spelling),
-            "policy error must list the {spelling:?} spelling"
-        );
+    assert!(stderr.contains("unknown option --policy"), "{stderr}");
+    for zero in ["--tenants", "--shards", "--intervals", "--queue-depth"] {
+        let (ok, _, stderr) = regmon(&["fleet", "all", zero, "0"]);
+        assert!(!ok, "{zero} 0 accepted");
+        assert!(stderr.contains("positive"), "{zero}: {stderr}");
     }
-    let (ok, _, stderr) = regmon(&["fleet", "all", "--shards", "0"]);
-    assert!(!ok);
-    assert!(stderr.contains("positive"));
-    let (ok, _, stderr) = regmon(&["fleet", "all", "--batch", "0"]);
-    assert!(!ok);
-    assert!(stderr.contains("positive"));
-    let (ok, _, stderr) = regmon(&["fleet", "all", "--pacing", "warp"]);
-    assert!(!ok);
-    assert!(stderr.contains("lockstep"));
+}
+
+/// A queue depth past the bound is an option error (exit 1) on both
+/// commands that build shard queues, reported before any ring is
+/// allocated.
+#[test]
+fn oversized_queue_depth_is_rejected_before_any_work() {
+    let sock = std::env::temp_dir().join(format!("regmon_smoke_{}.sock", std::process::id()));
+    let sock = sock.to_str().expect("utf8 temp path");
+    for args in [
+        vec!["fleet", "all"],
+        vec!["serve", "--unix", sock, "--expect-sessions", "1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_regmon"))
+            .args(&args)
+            .args(["--queue-depth", "4611686018427387904"])
+            .output()
+            .expect("spawn regmon");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", args[0]);
+        assert!(
+            stderr.contains("--queue-depth must be at most 65536"),
+            "{}: {stderr}",
+            args[0]
+        );
+        assert!(!stderr.contains("panicked"), "{}: {stderr}", args[0]);
+    }
+    assert!(!std::path::Path::new(sock).exists(), "serve bound a socket");
 }
 
 /// An option the subcommand never reads is an error, not a silent
@@ -228,11 +250,25 @@ fn unread_options_are_rejected() {
     let (ok, _, stderr) = regmon(&["fleet", "all", "--pin", "--json"]);
     assert!(!ok);
     assert!(stderr.contains("unknown option --pin"), "{stderr}");
+    for (flag, value) in [
+        ("--pacing", "freerun"),
+        ("--policy", "drop-oldest"),
+        ("--batch", "8"),
+    ] {
+        let (ok, _, stderr) = regmon(&["fleet", "all", flag, value, "--json"]);
+        assert!(!ok, "{flag} accepted");
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "{flag}: {stderr}"
+        );
+    }
 }
 
+/// The largest queue depth is accepted and reported (the test is named
+/// for the drop-policy alias it once covered).
 #[test]
 fn fleet_accepts_drop_alias() {
-    let (ok, stdout, _) = regmon(&[
+    let (ok, stdout, stderr) = regmon(&[
         "fleet",
         "mcf",
         "--tenants",
@@ -242,14 +278,15 @@ fn fleet_accepts_drop_alias() {
         "--intervals",
         "6",
         "--queue-depth",
-        "1",
-        "--policy",
-        "drop",
+        "65536",
     ]);
-    assert!(ok, "--policy drop (short alias) must be accepted");
-    assert!(stdout.contains("DropOldest"));
+    assert!(ok, "--queue-depth 65536 must be accepted: {stderr}");
+    assert!(stdout.contains("(depth 65536)"), "{stdout}");
 }
 
+/// Named for the driver batching factor it once compared: a depth-1
+/// queue blocks the driver on nearly every interval, and still no
+/// tenant's results move.
 #[test]
 fn fleet_batch_json_matches_per_interval_baseline() {
     let base = [
@@ -264,15 +301,16 @@ fn fleet_batch_json_matches_per_interval_baseline() {
         "--json",
     ];
     let (ok_a, a, _) = regmon(&base);
-    let mut batched: Vec<&str> = base.to_vec();
-    batched.extend(["--batch", "8"]);
-    let (ok_b, b, _) = regmon(&batched);
+    let mut shallow: Vec<&str> = base.to_vec();
+    shallow.extend(["--queue-depth", "1"]);
+    let (ok_b, b, _) = regmon(&shallow);
     assert!(ok_a && ok_b);
-    assert!(a.contains("\"batch\":1"));
-    assert!(b.contains("\"batch\":8"));
+    assert!(a.contains("\"queue_depth\":16"));
+    assert!(b.contains("\"queue_depth\":1"));
     assert!(b.contains("\"batch_sizes\":"));
+    assert!(!b.contains("\"batch\":"));
     // The per-tenant detector results and shard placement must not
-    // depend on transport batching: compare the tenants_detail blobs.
+    // depend on the queue depth: compare the tenants_detail blobs.
     let detail = |s: &str| {
         let start = s.find("\"tenants_detail\":").expect("tenants_detail");
         s[start..].to_string()
@@ -280,7 +318,7 @@ fn fleet_batch_json_matches_per_interval_baseline() {
     assert_eq!(
         detail(&a),
         detail(&b),
-        "batching must not change any tenant's results"
+        "queue depth must not change any tenant's results"
     );
 }
 

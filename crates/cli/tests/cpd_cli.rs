@@ -2,7 +2,7 @@
 //!
 //! - `fleet --json` must be byte-identical with `--cpd` off, and with
 //!   it on the document must be the same bytes plus one trailing
-//!   `"cpd"` member — at every batching factor.
+//!   `"cpd"` member — at every queue depth.
 //! - Offline `regmon cpd --trace` must find the same planted change
 //!   point the online run reported.
 //! - `regmon cpd` output must be byte-identical across `--simd` levels
@@ -32,7 +32,7 @@ fn temp_path(name: &str) -> String {
 
 #[test]
 fn fleet_json_gains_only_a_trailing_cpd_member() {
-    for &batch in &["1", "8"] {
+    for &depth in &["1", "16"] {
         let base = vec![
             "fleet",
             "all",
@@ -42,26 +42,26 @@ fn fleet_json_gains_only_a_trailing_cpd_member() {
             "2",
             "--intervals",
             "48",
-            "--batch",
-            batch,
+            "--queue-depth",
+            depth,
             "--degrade",
             "3:20",
             "--json",
         ];
         let (ok, plain, _) = regmon(&base);
-        assert!(ok, "plain fleet run failed (batch {batch})");
+        assert!(ok, "plain fleet run failed (depth {depth})");
 
         let mut with_cpd = base.clone();
         with_cpd.push("--cpd");
         let (ok, cpd, _) = regmon(&with_cpd);
-        assert!(ok, "cpd fleet run failed (batch {batch})");
+        assert!(ok, "cpd fleet run failed (depth {depth})");
 
         // Identical prefix: strip the final `}` from the plain doc,
         // the cpd doc must continue it with exactly `,"cpd":`.
         let prefix = plain.trim_end().strip_suffix('}').expect("json object");
         assert!(
             cpd.starts_with(prefix),
-            "--cpd perturbed earlier fields (batch {batch})"
+            "--cpd perturbed earlier fields (depth {depth})"
         );
         assert!(
             cpd[prefix.len()..].starts_with(",\"cpd\":{"),
@@ -71,10 +71,13 @@ fn fleet_json_gains_only_a_trailing_cpd_member() {
     }
 }
 
+/// Named for the transport options it once varied. Three tenants per
+/// shard never overflow a queue of depth 3 or 16, so both runs share
+/// every stall series while their real queues block at different points.
 #[test]
 fn cpd_detections_are_identical_across_batch_and_steal() {
     let mut outputs = Vec::new();
-    for &batch in &["1", "8"] {
+    for &depth in &["3", "16"] {
         let args = [
             "fleet",
             "all",
@@ -84,8 +87,8 @@ fn cpd_detections_are_identical_across_batch_and_steal() {
             "2",
             "--intervals",
             "48",
-            "--batch",
-            batch,
+            "--queue-depth",
+            depth,
             "--cpd",
             "--degrade",
             "3:20",
@@ -93,8 +96,8 @@ fn cpd_detections_are_identical_across_batch_and_steal() {
         ];
         let (ok, out, _) = regmon(&args);
         assert!(ok);
-        // The document as a whole legitimately encodes the batch
-        // setting; the detection member may not.
+        // The document as a whole legitimately encodes the queue
+        // depth; the detection member may not.
         let cpd_member = out
             .find("\"cpd\":")
             .map(|i| out[i..].to_string())
@@ -104,7 +107,7 @@ fn cpd_detections_are_identical_across_batch_and_steal() {
     for other in &outputs[1..] {
         assert_eq!(
             other, &outputs[0],
-            "cpd detections must be byte-identical across batch sizes"
+            "cpd detections must be byte-identical across queue depths"
         );
     }
 }
@@ -213,10 +216,10 @@ fn typos_get_spelling_suggestions() {
         "positional mode must suggest the flag: {err}"
     );
 
-    let (ok, _, err) = regmon(&["fleet", "all", "--cpd", "--pacing", "freerun"]);
+    let (ok, _, err) = regmon(&["fleet", "all", "--cpd", "--degrad", "3:20"]);
     assert!(!ok);
     assert!(
-        err.contains("lockstep"),
-        "--cpd under freerun must explain the pacing requirement: {err}"
+        err.contains("unknown option --degrad; did you mean --degrade?"),
+        "a fleet option typo must suggest the flag: {err}"
     );
 }

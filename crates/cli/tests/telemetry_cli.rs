@@ -1,6 +1,6 @@
 //! Telemetry must be a pure observer: enabling the journal, the trace
 //! writer and the periodic exposition may not perturb a lockstep
-//! fleet's `--json` output by a single byte, at every batching factor.
+//! fleet's `--json` output by a single byte, at every queue depth.
 //! Also smoke-tests the `regmon metrics` surface
 //! end-to-end through the real binary.
 
@@ -29,7 +29,7 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn fleet_json_is_byte_identical_with_telemetry_on() {
-    for &batch in &["1", "8"] {
+    for &depth in &["1", "16"] {
         let base = vec![
             "fleet",
             "all",
@@ -39,14 +39,14 @@ fn fleet_json_is_byte_identical_with_telemetry_on() {
             "2",
             "--intervals",
             "10",
-            "--batch",
-            batch,
+            "--queue-depth",
+            depth,
             "--json",
         ];
         let (ok, plain, _) = regmon(&base);
-        assert!(ok, "plain fleet run failed (batch {batch})");
+        assert!(ok, "plain fleet run failed (depth {depth})");
 
-        let trace = temp_path(&format!("trace_b{batch}.json"));
+        let trace = temp_path(&format!("trace_d{depth}.json"));
         let trace_str = trace.to_str().expect("utf8 temp path");
         let mut instrumented = base.clone();
         instrumented.extend(["--metrics-every", "1", "--trace-out", trace_str]);
@@ -55,7 +55,7 @@ fn fleet_json_is_byte_identical_with_telemetry_on() {
 
         assert_eq!(
             plain, traced,
-            "telemetry changed fleet --json output (batch {batch})"
+            "telemetry changed fleet --json output (depth {depth})"
         );
         // The periodic exposition goes to stderr, never stdout.
         assert!(

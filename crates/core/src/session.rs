@@ -276,7 +276,7 @@ impl MonitoringSession {
         if telemetry_on {
             regmon_telemetry::metrics::REGIONS_LIVE.set(self.monitor.len() as i64);
             // The interval index is the session's own deterministic
-            // x-axis: journal ticks drift under fleet batching, so the
+            // x-axis: shard workers race the fleet's round tick, so the
             // change-point hub keys per-tenant series on this marker.
             regmon_telemetry::journal::record(regmon_telemetry::journal::EventKind::IntervalEnd {
                 interval: interval.index as u64,

@@ -4,8 +4,8 @@
 //! # Determinism
 //!
 //! Journal *ticks* are recorded by shard workers racing the driver's
-//! advancing round counter, and drift further under interval batching —
-//! so the feed never keys a tenant series on a tick. Instead it uses the
+//! advancing round counter — so the feed never keys a tenant series on
+//! a tick. Instead it uses the
 //! per-tenant x-axes that *are* deterministic:
 //!
 //! - Every processed interval records an [`EventKind::IntervalEnd`]
@@ -14,17 +14,16 @@
 //!   current interval ordinal to region-scoped LPD events (per-tenant
 //!   journal streams are FIFO, and LPD transitions of interval `k` are
 //!   recorded before interval `k`'s end marker).
-//! - Queue-stall series come from the lockstep simulation's per-home-
-//!   shard counters, which the fleet equivalence contract already keeps
-//!   byte-identical across batch sizes.
+//! - Queue-stall series come from the driver's lockstep stall model,
+//!   whose per-home-shard counters are pure functions of the fleet
+//!   configuration.
 //!
 //! Detection cadence inside each [`StreamingCpd`] counts *points*, not
-//! rounds, so while the driver round at which a change point
-//! materializes shifts with batching (events drain later), the detected
-//! rounds, magnitudes and confidences do not. The final report sorts
-//! change points by series key and round, discarding materialization
-//! order — which is what keeps `fleet --json` byte-identical across
-//! batch sizes with `--cpd` on.
+//! rounds, so the detected rounds, magnitudes and confidences do not
+//! depend on when events drain. The final report sorts change points by
+//! series key and round, discarding materialization order — which is
+//! what keeps `fleet --json` byte-identical across runs with `--cpd`
+//! on.
 
 use regmon_cpd::{ChangePoint, CpdHub, Metric, SeriesKey, StreamConfig, NO_REGION, NO_TENANT};
 use regmon_telemetry::journal::{self, Event, EventKind};
@@ -59,7 +58,7 @@ pub struct CpdFeed {
     /// IntervalEnd markers seen per tenant: the ordinal assigned to the
     /// tenant's next region-scoped events.
     intervals_seen: HashMap<u64, u64>,
-    /// Previous cumulative stalls+drops per shard (for round deltas).
+    /// Previous cumulative stalls per shard (for round deltas).
     prev_queue: Vec<u64>,
     events: Vec<Event>,
     lost: u64,
@@ -85,8 +84,8 @@ impl CpdFeed {
 
     /// One driver round: drain the journal, ingest tenant series, feed
     /// per-shard queue-stall deltas, then journal any fresh detections.
-    /// `queue_totals` is the cumulative stalls+drops per home shard
-    /// from the lockstep simulation.
+    /// `queue_totals` is the cumulative stalls per home shard from the
+    /// driver's lockstep model.
     pub fn end_round(&mut self, round: u64, queue_totals: &[u64]) {
         let drained = journal::drain();
         self.lost += drained.lost;

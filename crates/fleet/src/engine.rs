@@ -2,7 +2,7 @@
 //! ring queues, plus the lifecycle-command surface.
 //!
 //! The engine is transport + workers only; it does not run samplers.
-//! Interval production (and therefore pacing, batching and admission
+//! Interval production (and therefore round pacing and admission
 //! ordering) is the [`crate::driver`]'s job. Splitting the two keeps the
 //! engine free of borrows into workload storage and makes every engine
 //! operation available mid-run: tests and embedders can admit, pause,
@@ -19,7 +19,7 @@ use std::thread::JoinHandle;
 
 use regmon_sampling::Interval;
 
-use crate::queue::{QueuePolicy, RingQueue};
+use crate::queue::RingQueue;
 use crate::shard::{run_worker, AdmitMsg, ShardFinal, ShardMsg, ShardSnapshot};
 use crate::tenant::{EvictReason, TenantId, TenantSpec};
 
@@ -28,40 +28,19 @@ use crate::tenant::{EvictReason, TenantId, TenantSpec};
 pub struct EngineConfig {
     /// Number of shard workers (and queues).
     pub shards: usize,
-    /// Bounded depth of each shard queue, in messages.
+    /// Bounded depth of each shard queue, in messages; a full queue
+    /// blocks the producer.
     pub queue_depth: usize,
-    /// Backpressure policy applied to interval traffic.
-    pub policy: QueuePolicy,
-    /// Maximum intervals coalesced into one queue message (1 = the
-    /// per-interval path).
-    pub batch: usize,
 }
 
 impl EngineConfig {
-    /// An engine with `shards` workers and the given queue depth,
-    /// blocking on full queues, per-interval shipping.
+    /// An engine with `shards` workers and the given queue depth.
     #[must_use]
     pub fn new(shards: usize, queue_depth: usize) -> Self {
         Self {
             shards,
             queue_depth,
-            policy: QueuePolicy::Block,
-            batch: 1,
         }
-    }
-
-    /// Replaces the backpressure policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: QueuePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the interval batching factor (clamped to at least 1).
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 }
 
@@ -79,7 +58,8 @@ impl FleetEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `shards == 0` or `queue_depth == 0`.
+    /// Panics when `shards == 0` or `queue_depth` is outside
+    /// `1..=`[`MAX_QUEUE_DEPTH`](crate::MAX_QUEUE_DEPTH).
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.shards > 0, "fleet needs at least one shard");
@@ -125,15 +105,15 @@ impl FleetEngine {
 
     /// Pushes a tenant-addressed message to the tenant's home shard.
     /// Returns `false` when the queue is closed.
-    fn push_routed(&self, id: TenantId, msg: ShardMsg, policy: QueuePolicy) -> bool {
-        self.queues[self.shard_of(id)].push(msg, policy).is_ok()
+    fn push_routed(&self, id: TenantId, msg: ShardMsg) -> bool {
+        self.queues[self.shard_of(id)].push(msg).is_ok()
     }
 
     fn control(&self, id: TenantId, msg: ShardMsg) {
-        // Control messages always block (never dropped); a closed queue
-        // here is a bug in shutdown ordering, so it panics loudly.
+        // A closed queue here is a bug in shutdown ordering, so it
+        // panics loudly.
         assert!(
-            self.push_routed(id, msg, QueuePolicy::Block),
+            self.push_routed(id, msg),
             "shard queue closed while engine alive"
         );
     }
@@ -208,36 +188,21 @@ impl FleetEngine {
         rx.recv().expect("shard worker gone").map(|boxed| *boxed)
     }
 
-    /// Ships one sampled interval to the tenant's shard under the
-    /// engine's backpressure policy. Returns `false` when the interval
-    /// was rejected because the queue is closed (shutdown race).
+    /// Ships one sampled interval to the tenant's shard, waiting while
+    /// the queue is full. Returns `false` when the interval was
+    /// rejected because the queue is closed (shutdown race).
     pub fn offer_interval(&self, id: TenantId, interval: Interval) -> bool {
-        self.push_routed(id, ShardMsg::Interval(id, interval), self.config.policy)
+        self.push_routed(id, ShardMsg::Interval(id, interval))
     }
 
-    /// Ships a coalesced batch of consecutive intervals as one queue
-    /// message under the engine's backpressure policy. A batch of one is
-    /// shipped as a plain interval message.
+    /// Ships a run of consecutive intervals as one queue message,
+    /// waiting while the queue is full. A batch of one is shipped as a
+    /// plain interval message.
     pub fn offer_batch(&self, id: TenantId, mut intervals: Vec<Interval>) -> bool {
         match intervals.len() {
             0 => true,
             1 => self.offer_interval(id, intervals.pop().expect("len checked")),
-            _ => self.push_routed(id, ShardMsg::Batch(id, intervals), self.config.policy),
-        }
-    }
-
-    /// Ships a batch with blocking semantics regardless of the engine
-    /// policy (lossless lockstep transfer; the driver already applied
-    /// the drop policy in its simulation buffers).
-    pub(crate) fn send_batch_blocking(&self, id: TenantId, mut intervals: Vec<Interval>) -> bool {
-        match intervals.len() {
-            0 => true,
-            1 => self.push_routed(
-                id,
-                ShardMsg::Interval(id, intervals.pop().expect("len checked")),
-                QueuePolicy::Block,
-            ),
-            _ => self.push_routed(id, ShardMsg::Batch(id, intervals), QueuePolicy::Block),
+            _ => self.push_routed(id, ShardMsg::Batch(id, intervals)),
         }
     }
 
@@ -277,7 +242,7 @@ impl FleetEngine {
         for queue in &self.queues {
             let (tx, rx) = sync_channel(1);
             queue
-                .push(ShardMsg::Snapshot(tx), QueuePolicy::Block)
+                .push(ShardMsg::Snapshot(tx))
                 .expect("shard queue closed while engine alive");
             pending.push(rx);
         }
@@ -294,7 +259,7 @@ impl FleetEngine {
         for queue in &self.queues {
             let (tx, rx) = sync_channel(1);
             queue
-                .push(ShardMsg::Barrier(tx), QueuePolicy::Block)
+                .push(ShardMsg::Barrier(tx))
                 .expect("shard queue closed while engine alive");
             pending.push(rx);
         }
@@ -316,7 +281,7 @@ impl FleetEngine {
         for queue in &self.queues {
             let (tx, rx) = sync_channel(1);
             queue
-                .push(ShardMsg::Barrier(tx), QueuePolicy::Block)
+                .push(ShardMsg::Barrier(tx))
                 .expect("shard queue closed while engine alive");
             pending.push(rx);
         }
@@ -333,7 +298,7 @@ impl FleetEngine {
     /// guard holds the worker inside a queued `Hold` message until it
     /// is dropped (or [`ShardHold::release`]d). While held, nothing is
     /// popped from the shard's queue, so a producer *provably* outruns
-    /// it — backpressure tests can force stalls and drops without
+    /// it — backpressure tests can force stalls without
     /// wall-clock races. This call returns only after the worker has
     /// acknowledged the hold, i.e. everything queued before it has been
     /// fully processed (a barrier) and the queue is empty.
@@ -346,7 +311,7 @@ impl FleetEngine {
         let (ack_tx, ack_rx) = sync_channel(1);
         let (gate_tx, gate_rx) = sync_channel::<()>(1);
         self.queues[shard]
-            .push(ShardMsg::Hold(ack_tx, gate_rx), QueuePolicy::Block)
+            .push(ShardMsg::Hold(ack_tx, gate_rx))
             .expect("shard queue closed while engine alive");
         ack_rx.recv().expect("shard worker gone");
         ShardHold { _gate: gate_tx }
@@ -478,7 +443,7 @@ mod tests {
         per.finish(a);
         let per = per.shutdown();
 
-        let mut batched = FleetEngine::new(EngineConfig::new(1, 16).with_batch(4));
+        let mut batched = FleetEngine::new(EngineConfig::new(1, 16));
         let b = batched.admit(&spec);
         for chunk in intervals.chunks(4) {
             assert!(batched.offer_batch(b, chunk.to_vec()));

@@ -12,18 +12,16 @@
 //!   `i % shards` for its whole life; each shard worker single-threadedly owns its
 //!   tenants' sessions, so sessions need no locks and the fleet scales
 //!   by adding shards.
-//! - **Backpressure** — per-shard bounded queues with
-//!   [`QueuePolicy::Block`] (lossless, counts producer stalls) or
-//!   [`QueuePolicy::DropOldest`] (lossy, counts drops), plus
+//! - **Backpressure** — per-shard bounded queues that block a producer
+//!   on a full queue (lossless), counting producer stalls and
 //!   queue-depth high-water marks.
-//! - **Lifecycle** — admit, pause/resume, evict (including cold-tenant
-//!   pruning that reuses the session pruning policy shape), restart,
-//!   and panic **quarantine**: a tenant whose pipeline panics is
+//! - **Lifecycle** — admit, pause/resume, evict, restart, and panic
+//!   **quarantine**: a tenant whose pipeline panics is
 //!   isolated and reported; its shard and every other tenant continue.
 //! - **Fleet metrics** — per-tenant and rolled-up GPD/LPD phase-change
 //!   counts, stable-time fractions and UCR medians, snapshotable
 //!   mid-run.
-//! - **Determinism** — under [`Pacing::Lockstep`] and `Block`, every
+//! - **Determinism** — production runs in lockstep rounds, so every
 //!   tenant's summary is byte-identical to a standalone
 //!   [`MonitoringSession::run_limited`] run for *any* shard count, and
 //!   all backpressure counters are pure functions of the configuration.
@@ -72,15 +70,14 @@ mod shard;
 mod tenant;
 
 pub use cpdfeed::{CpdFeed, CpdReport};
-pub use driver::{run_fleet, ControlAction, FleetConfig, Pacing, Schedule};
+pub use driver::{run_fleet, ControlAction, FleetConfig, Schedule};
 pub use engine::{EngineConfig, FleetEngine, ShardHold};
 pub use queue::{
-    batch_bucket_label, BoundedQueue, Closed, Droppable, QueuePolicy, QueueStats, RingQueue,
-    BATCH_BUCKETS,
+    batch_bucket_label, Closed, Droppable, QueueStats, RingQueue, BATCH_BUCKETS, MAX_QUEUE_DEPTH,
 };
 pub use report::{FleetAggregate, FleetReport, FleetSnapshot, ShardReport, TenantReport};
 pub use shard::{ShardFinal, ShardSnapshot, TenantSnapshot};
-pub use tenant::{ColdTenantPolicy, EvictReason, FaultPlan, TenantId, TenantSpec, TenantState};
+pub use tenant::{EvictReason, FaultPlan, TenantId, TenantSpec, TenantState};
 
 use regmon::{SessionConfig, SessionSummary};
 use regmon_workload::Workload;
@@ -90,7 +87,7 @@ use regmon_workload::Workload;
 pub struct SingleRun {
     /// The analysis results (identical to a single-threaded run).
     pub summary: SessionSummary,
-    /// Producer stall episodes (full queue under `Block`).
+    /// Producer stall episodes (full queue).
     pub backpressure_stalls: usize,
 }
 

@@ -2,10 +2,8 @@
 //! lock-light fast path.
 //!
 //! The fleet engine ships every shard's traffic — interval batches *and*
-//! lifecycle control messages — through one bounded FIFO per shard. A
-//! plain `std::sync::mpsc::sync_channel` cannot express the
-//! `DropOldest` policy (no access to the queue head), so this is a
-//! fixed-capacity **ring queue**: storage is one `Box<[Option<T>]>`
+//! lifecycle control messages — through one bounded FIFO per shard. The
+//! storage is a fixed-capacity **ring**: one `Box<[Option<T>]>`
 //! allocated up front and addressed `(head + i) % capacity`, so neither
 //! push nor pop ever allocates or moves other entries (the classic
 //! sequence-counted MPMC ring layout, degenerated to a mutex-protected
@@ -24,73 +22,27 @@
 //! unlock — zero syscalls, zero allocations. [`QueueStats::notifies`]
 //! counts the wakeups actually issued so tests can pin this down.
 //!
-//! Two backpressure policies:
-//!
-//! - [`QueuePolicy::Block`]: a full queue makes the producer wait, and
-//!   each wait episode is counted as one **stall** — the paper's measure
-//!   of how often monitoring would have intruded on the critical path
-//!   with this buffer depth (§3.2.3).
-//! - [`QueuePolicy::DropOldest`]: a full queue evicts the oldest
-//!   *droppable* entry (interval payloads are droppable, control
-//!   messages never are) and counts its [`Droppable::units`] as
-//!   **drops**. The producer never waits; monitoring degrades instead of
-//!   the mutator. A ring full of non-droppable control messages blocks
-//!   instead — lifecycle commands are never sacrificed.
+//! **Backpressure** is lossless: a full queue makes the producer wait,
+//! and each wait episode is counted as one **stall** — the paper's
+//! measure of how often monitoring would have intruded on the critical
+//! path with this buffer depth (§3.2.3).
 
 use regmon_stats::histogram::log2_bucket;
 use regmon_telemetry::{journal, metrics};
 use std::sync::{Condvar, Mutex};
 
-/// What to do when a shard queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueuePolicy {
-    /// Producer waits for space (lossless; counts stalls).
-    Block,
-    /// Oldest droppable entry is evicted (lossy; counts drops).
-    DropOldest,
-}
-
-/// Accepted spellings for [`QueuePolicy::parse`].
-const POLICY_SPELLINGS: &str = "block | drop-oldest | drop_oldest | dropoldest | drop";
-
-impl QueuePolicy {
-    /// Parses a policy name. Accepted spellings: `block`,
-    /// `drop-oldest`, `drop_oldest`, `dropoldest` and the short alias
-    /// `drop`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the rejected input and listing every
-    /// accepted spelling.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "block" => Ok(Self::Block),
-            "drop-oldest" | "drop_oldest" | "dropoldest" | "drop" => Ok(Self::DropOldest),
-            other => Err(format!(
-                "unknown queue policy {other:?} (accepted: {POLICY_SPELLINGS})"
-            )),
-        }
-    }
-}
-
-/// Entries that may be sacrificed under [`QueuePolicy::DropOldest`].
+/// Queue entries that may carry interval payloads.
 pub trait Droppable {
-    /// `true` when the entry may be dropped (interval payloads);
-    /// `false` for entries that must survive (control messages).
-    fn droppable(&self) -> bool;
-
-    /// How many logical payload units the entry carries: `Some(n)` for
-    /// droppable payloads (an interval batch of `n` intervals),
-    /// `None` for control messages. Evicting the entry counts `n`
-    /// drops, and pushing it records `n` in the batch-size histogram.
-    fn units(&self) -> Option<usize> {
-        if self.droppable() {
-            Some(1)
-        } else {
-            None
-        }
-    }
+    /// How many payload units the entry carries: `Some(n)` for an
+    /// interval batch of `n` intervals, `None` for control messages.
+    /// Pushing a payload records `n` in the batch-size histogram.
+    fn units(&self) -> Option<usize>;
 }
+
+/// Largest accepted queue depth. Every slot is allocated up front, so
+/// a depth past this bound is a configuration error, not a request for
+/// gigabytes of ring.
+pub const MAX_QUEUE_DEPTH: usize = 65_536;
 
 /// Buckets of the batch-size histogram in [`QueueStats`]: bucket `i`
 /// counts payload messages carrying `2^i ..= 2^(i+1) - 1` units (the
@@ -118,11 +70,8 @@ pub struct QueueStats {
     pub pushed: usize,
     /// Entries handed to the consumer.
     pub popped: usize,
-    /// Wait episodes of a blocked producer ([`QueuePolicy::Block`]).
+    /// Wait episodes of a producer that found the queue full.
     pub stalls: usize,
-    /// Evicted payload units ([`QueuePolicy::DropOldest`]); an evicted
-    /// batch of `n` intervals counts `n`.
-    pub dropped: usize,
     /// Maximum occupancy ever observed (after a push).
     pub high_water: usize,
     /// Condvar wakeups actually issued by producers and consumers. The
@@ -148,9 +97,7 @@ impl QueueStats {
 }
 
 /// Fixed-capacity ring storage: `slots[(head + i) % capacity]` is the
-/// `i`-th oldest entry. Entries never move on push/pop; only the rare
-/// mid-ring eviction (DropOldest skipping control messages) shifts the
-/// head-side entries by one.
+/// `i`-th oldest entry. Entries never move on push/pop.
 #[derive(Debug)]
 struct RingBuf<T> {
     slots: Box<[Option<T>]>,
@@ -191,31 +138,6 @@ impl<T> RingBuf<T> {
     }
 }
 
-impl<T: Droppable> RingBuf<T> {
-    /// Index (in age order) of the oldest droppable entry, if any.
-    fn oldest_droppable(&self) -> Option<usize> {
-        (0..self.len).find(|&i| {
-            self.slots[self.idx(i)]
-                .as_ref()
-                .is_some_and(Droppable::droppable)
-        })
-    }
-
-    /// Removes the entry at age-index `i`, shifting the (younger-than-
-    /// head, older-than-`i`) entries toward the hole and advancing
-    /// `head` — exactly `VecDeque::remove` semantics on a fixed ring.
-    fn remove_at(&mut self, i: usize) -> T {
-        debug_assert!(i < self.len);
-        let item = self.slots[self.idx(i)].take().expect("ring slot lost");
-        for j in (1..=i).rev() {
-            self.slots[self.idx(j)] = self.slots[self.idx(j - 1)].take();
-        }
-        self.head = (self.head + 1) % self.slots.len();
-        self.len -= 1;
-        item
-    }
-}
-
 #[derive(Debug)]
 struct Inner<T> {
     ring: RingBuf<T>,
@@ -243,20 +165,18 @@ pub struct RingQueue<T> {
     label: u64,
 }
 
-/// Backwards-compatible name: PR 1 shipped this queue as `BoundedQueue`
-/// (then a `Mutex<VecDeque>`); the ring rebuild keeps the old name as an
-/// alias so embedders and tests are unaffected.
-pub type BoundedQueue<T> = RingQueue<T>;
-
 impl<T: Droppable> RingQueue<T> {
     /// A queue holding at most `capacity` entries.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity` is 0 or above [`MAX_QUEUE_DEPTH`].
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue depth must be positive");
+        assert!(
+            (1..=MAX_QUEUE_DEPTH).contains(&capacity),
+            "queue depth must be in 1..={MAX_QUEUE_DEPTH}"
+        );
         Self {
             inner: Mutex::new(Inner {
                 ring: RingBuf::new(capacity),
@@ -281,59 +201,36 @@ impl<T: Droppable> RingQueue<T> {
         self
     }
 
-    /// Enqueues `item` under `policy`.
-    ///
-    /// Control messages (non-droppable items) always use blocking
-    /// semantics regardless of `policy`, so lifecycle commands are never
-    /// lost.
+    /// Enqueues `item`, waiting while the queue is full.
     ///
     /// # Errors
     ///
     /// Returns [`Closed`] when the queue has been closed.
-    pub fn push(&self, item: T, policy: QueuePolicy) -> Result<(), Closed> {
+    pub fn push(&self, item: T) -> Result<(), Closed> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.closed {
             return Err(Closed);
         }
 
-        // A full queue either has an eviction victim or makes us wait.
-        let mut evict_at = None;
-        let mut stalled = false;
-        if inner.ring.len >= self.capacity {
-            let drop_allowed = policy == QueuePolicy::DropOldest && item.droppable();
-            evict_at = if drop_allowed {
-                inner.ring.oldest_droppable()
-            } else {
-                None
-            };
-            if evict_at.is_none() {
-                // Block policy, or a DropOldest ring full of
-                // non-droppable control messages: wait for space. One
-                // stall per wait episode. Only the striped counter runs
-                // under the lock; the journal write (mutex + clock) is
-                // deferred to the post-push telemetry block so a
-                // stalled producer never stretches the critical section
-                // consumers drain through.
-                inner.stats.stalls = inner.stats.stalls.saturating_add(1);
-                metrics::QUEUE_STALLS.inc();
-                stalled = true;
-                while inner.ring.len >= self.capacity && !inner.closed {
-                    inner.producer_waiters += 1;
-                    inner = self.not_full.wait(inner).expect("queue poisoned");
-                    inner.producer_waiters -= 1;
-                }
-                if inner.closed {
-                    return Err(Closed);
-                }
+        let stalled = inner.ring.len >= self.capacity;
+        if stalled {
+            // One stall per wait episode. Only the striped counter runs
+            // under the lock; the journal write (mutex + clock) is
+            // deferred to the post-push telemetry block so a stalled
+            // producer never stretches the critical section consumers
+            // drain through.
+            inner.stats.stalls = inner.stats.stalls.saturating_add(1);
+            metrics::QUEUE_STALLS.inc();
+            while inner.ring.len >= self.capacity && !inner.closed {
+                inner.producer_waiters += 1;
+                inner = self.not_full.wait(inner).expect("queue poisoned");
+                inner.producer_waiters -= 1;
+            }
+            if inner.closed {
+                return Err(Closed);
             }
         }
 
-        if let Some(at) = evict_at {
-            let victim = inner.ring.remove_at(at);
-            let units = victim.units().unwrap_or(0);
-            inner.stats.dropped = inner.stats.dropped.saturating_add(units);
-            metrics::QUEUE_DROPPED.add(units as u64);
-        }
         let units = item.units();
         if let Some(units) = units {
             inner.stats.record_batch(units);
@@ -466,10 +363,6 @@ mod tests {
     }
 
     impl Droppable for Msg {
-        fn droppable(&self) -> bool {
-            !matches!(self, Msg::Ctrl(_))
-        }
-
         fn units(&self) -> Option<usize> {
             match self {
                 Msg::Data(_) => Some(1),
@@ -479,11 +372,30 @@ mod tests {
         }
     }
 
+    /// Pushes `item` from a second thread into the full queue `q`, waits
+    /// until that producer has parked, pops one entry so the blocked
+    /// push can land, and returns every entry in delivery order.
+    fn push_into_full(q: &Arc<RingQueue<Msg>>, item: Msg) -> Vec<Msg> {
+        let producer = {
+            let q = Arc::clone(q);
+            std::thread::spawn(move || q.push(item))
+        };
+        while q.inner.lock().unwrap().producer_waiters == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(q.len(), q.capacity(), "a full queue evicted an entry");
+        let mut drained = vec![q.pop().unwrap()]; // frees a slot; producer lands
+        producer.join().unwrap().unwrap();
+        q.close();
+        drained.extend(std::iter::from_fn(|| q.pop()));
+        drained
+    }
+
     #[test]
     fn fifo_order_preserved() {
-        let q = BoundedQueue::new(8);
+        let q = RingQueue::new(8);
         for i in 0..5 {
-            q.push(Msg::Data(i), QueuePolicy::Block).unwrap();
+            q.push(Msg::Data(i)).unwrap();
         }
         q.close();
         let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
@@ -503,7 +415,7 @@ mod tests {
         let mut expect = Vec::new();
         let mut got = Vec::new();
         for i in 0..20u32 {
-            q.push(Msg::Data(i), QueuePolicy::Block).unwrap();
+            q.push(Msg::Data(i)).unwrap();
             expect.push(Msg::Data(i));
             if q.len() == 3 {
                 got.push(q.pop().unwrap());
@@ -518,92 +430,89 @@ mod tests {
         assert_eq!(stats.popped, 20);
     }
 
+    /// A full queue of payloads keeps its oldest entry: the next push
+    /// waits instead of evicting the head.
     #[test]
     fn drop_oldest_evicts_front_droppable_only() {
-        let q = BoundedQueue::new(3);
-        q.push(Msg::Ctrl(0), QueuePolicy::DropOldest).unwrap();
-        q.push(Msg::Data(1), QueuePolicy::DropOldest).unwrap();
-        q.push(Msg::Data(2), QueuePolicy::DropOldest).unwrap();
-        // Full. The oldest *droppable* (Data(1)) goes, not Ctrl(0).
-        q.push(Msg::Data(3), QueuePolicy::DropOldest).unwrap();
-        let stats = q.stats();
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.high_water, 3);
-        q.close();
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(drained, vec![Msg::Ctrl(0), Msg::Data(2), Msg::Data(3)]);
-    }
-
-    #[test]
-    fn mid_ring_eviction_survives_wrap() {
-        // Move head off zero first so the eviction shift crosses the
-        // physical end of the slot array.
-        let q = RingQueue::new(4);
-        q.push(Msg::Data(0), QueuePolicy::Block).unwrap();
-        q.push(Msg::Data(1), QueuePolicy::Block).unwrap();
-        assert_eq!(q.pop(), Some(Msg::Data(0)));
-        assert_eq!(q.pop(), Some(Msg::Data(1))); // head now at 2
-        q.push(Msg::Ctrl(10), QueuePolicy::Block).unwrap();
-        q.push(Msg::Ctrl(11), QueuePolicy::Block).unwrap();
-        q.push(Msg::Data(12), QueuePolicy::Block).unwrap();
-        q.push(Msg::Data(13), QueuePolicy::Block).unwrap();
-        // Full, wrapped. Evict oldest droppable (Data(12), age index 2).
-        q.push(Msg::Data(14), QueuePolicy::DropOldest).unwrap();
-        q.close();
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let q = Arc::new(RingQueue::new(3));
+        q.push(Msg::Ctrl(0)).unwrap();
+        q.push(Msg::Data(1)).unwrap();
+        q.push(Msg::Data(2)).unwrap();
+        let drained = push_into_full(&q, Msg::Data(3));
         assert_eq!(
             drained,
-            vec![Msg::Ctrl(10), Msg::Ctrl(11), Msg::Data(13), Msg::Data(14)]
+            vec![Msg::Ctrl(0), Msg::Data(1), Msg::Data(2), Msg::Data(3)]
         );
-        assert_eq!(q.stats().dropped, 1);
+        let stats = q.stats();
+        assert_eq!(stats.stalls, 1);
+        assert_eq!(stats.high_water, 3);
     }
 
-    /// Adversarial satellite case: a ring *full of control messages*
-    /// under `DropOldest` must never evict one of them — the producer
-    /// falls back to blocking and every control message survives.
+    /// A blocked push onto a full ring whose head has wrapped past the
+    /// end of the slot array lands behind every older entry.
+    #[test]
+    fn mid_ring_eviction_survives_wrap() {
+        let q = Arc::new(RingQueue::new(4));
+        q.push(Msg::Data(0)).unwrap();
+        q.push(Msg::Data(1)).unwrap();
+        assert_eq!(q.pop(), Some(Msg::Data(0)));
+        assert_eq!(q.pop(), Some(Msg::Data(1))); // head now at 2
+        q.push(Msg::Ctrl(10)).unwrap();
+        q.push(Msg::Ctrl(11)).unwrap();
+        q.push(Msg::Data(12)).unwrap();
+        q.push(Msg::Data(13)).unwrap();
+        let drained = push_into_full(&q, Msg::Data(14));
+        assert_eq!(
+            drained,
+            vec![
+                Msg::Ctrl(10),
+                Msg::Ctrl(11),
+                Msg::Data(12),
+                Msg::Data(13),
+                Msg::Data(14)
+            ]
+        );
+        assert_eq!(q.stats().stalls, 1);
+    }
+
+    /// A ring *full of control messages* never loses one: the producer
+    /// waits and every control message survives.
     #[test]
     fn drop_oldest_never_evicts_control_from_full_ring() {
         let q = Arc::new(RingQueue::new(3));
         for i in 0..3 {
-            q.push(Msg::Ctrl(i), QueuePolicy::DropOldest).unwrap();
+            q.push(Msg::Ctrl(i)).unwrap();
         }
         assert_eq!(q.len(), 3, "ring full of control messages");
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(Msg::Data(99), QueuePolicy::DropOldest))
-        };
-        // Give the producer time to (wrongly) evict; it must block.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.stats().dropped, 0, "control message sacrificed");
-        let mut drained = Vec::new();
-        drained.push(q.pop().unwrap()); // frees a slot; producer lands
-        producer.join().unwrap().unwrap();
-        q.close();
-        drained.extend(std::iter::from_fn(|| q.pop()));
+        let drained = push_into_full(&q, Msg::Data(99));
         assert_eq!(
             drained,
             vec![Msg::Ctrl(0), Msg::Ctrl(1), Msg::Ctrl(2), Msg::Data(99)]
         );
-        let stats = q.stats();
-        assert_eq!(stats.dropped, 0, "DropOldest must not drop control");
-        assert_eq!(stats.stalls, 1, "producer blocked instead");
+        assert_eq!(q.stats().stalls, 1, "producer blocked instead");
     }
 
+    /// A stall is one wait episode, however many units the waiting
+    /// batch carries; the histogram still records each batch's units.
     #[test]
     fn dropped_counts_units_not_messages() {
-        let q = RingQueue::new(1);
-        q.push(Msg::Pack(0, 5), QueuePolicy::DropOldest).unwrap();
-        q.push(Msg::Pack(1, 2), QueuePolicy::DropOldest).unwrap();
-        assert_eq!(q.stats().dropped, 5, "evicted batch counts its units");
+        let q = Arc::new(RingQueue::new(1));
+        q.push(Msg::Pack(0, 5)).unwrap();
+        let drained = push_into_full(&q, Msg::Pack(1, 2));
+        assert_eq!(drained, vec![Msg::Pack(0, 5), Msg::Pack(1, 2)]);
+        let stats = q.stats();
+        assert_eq!(stats.stalls, 1, "one episode, not two units");
+        assert_eq!(stats.batch_sizes[1], 1, "the 2-unit batch");
+        assert_eq!(stats.batch_sizes[2], 1, "the 5-unit batch");
     }
 
     #[test]
     fn batch_size_histogram_buckets_by_log2() {
         let q = RingQueue::new(16);
         for (tag, units) in [(0, 1), (1, 3), (2, 8), (3, 40)] {
-            q.push(Msg::Pack(tag, units), QueuePolicy::Block).unwrap();
+            q.push(Msg::Pack(tag, units)).unwrap();
         }
-        q.push(Msg::Ctrl(9), QueuePolicy::Block).unwrap();
+        q.push(Msg::Ctrl(9)).unwrap();
         let stats = q.stats();
         let mut expect = [0usize; BATCH_BUCKETS];
         expect[0] = 1; // 1
@@ -625,7 +534,7 @@ mod tests {
     fn uncontended_push_is_notify_free() {
         let q = Arc::new(RingQueue::new(32));
         for i in 0..20 {
-            q.push(Msg::Data(i), QueuePolicy::Block).unwrap();
+            q.push(Msg::Data(i)).unwrap();
         }
         assert_eq!(
             q.stats().notifies,
@@ -645,7 +554,7 @@ mod tests {
             std::thread::spawn(move || q.pop())
         };
         std::thread::sleep(Duration::from_millis(20)); // let it park
-        q.push(Msg::Data(99), QueuePolicy::Block).unwrap();
+        q.push(Msg::Data(99)).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(Msg::Data(99)));
         assert!(q.stats().notifies >= 1, "parked consumer must be notified");
         q.close();
@@ -653,7 +562,7 @@ mod tests {
 
     #[test]
     fn block_policy_counts_stalls_and_delivers_everything() {
-        let q = Arc::new(BoundedQueue::new(1));
+        let q = Arc::new(RingQueue::new(1));
         let consumer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
@@ -666,41 +575,40 @@ mod tests {
             })
         };
         for i in 0..20 {
-            q.push(Msg::Data(i), QueuePolicy::Block).unwrap();
+            q.push(Msg::Data(i)).unwrap();
         }
         q.close();
         let got = consumer.join().unwrap();
-        assert_eq!(got.len(), 20, "Block must be lossless");
+        assert_eq!(got.len(), 20, "a blocking queue is lossless");
         assert!(q.stats().stalls > 0, "depth-1 queue must have stalled");
-        assert_eq!(q.stats().dropped, 0);
     }
 
     #[test]
     fn close_wakes_blocked_producer() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(Msg::Data(0), QueuePolicy::Block).unwrap();
+        let q = Arc::new(RingQueue::new(1));
+        q.push(Msg::Data(0)).unwrap();
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(Msg::Data(1), QueuePolicy::Block))
+            std::thread::spawn(move || q.push(Msg::Data(1)))
         };
         std::thread::sleep(std::time::Duration::from_millis(10));
         q.close();
         assert_eq!(producer.join().unwrap(), Err(Closed));
     }
 
+    /// Named for the policy parser it once covered; the queue's one
+    /// remaining setting is its depth, which accepts `1..=MAX_QUEUE_DEPTH`
+    /// and names that range when it refuses a value.
     #[test]
     fn policy_parse_accepts_all_spellings_and_lists_them_on_error() {
-        assert_eq!(QueuePolicy::parse("block"), Ok(QueuePolicy::Block));
-        for alias in ["drop-oldest", "drop_oldest", "dropoldest", "drop"] {
-            assert_eq!(
-                QueuePolicy::parse(alias),
-                Ok(QueuePolicy::DropOldest),
-                "{alias}"
-            );
+        for depth in [1, MAX_QUEUE_DEPTH] {
+            assert_eq!(RingQueue::<Msg>::new(depth).capacity(), depth);
         }
-        let err = QueuePolicy::parse("newest").unwrap_err();
-        for spelling in ["block", "drop-oldest", "drop_oldest", "dropoldest", "drop"] {
-            assert!(err.contains(spelling), "error {err:?} omits {spelling}");
+        for depth in [0, MAX_QUEUE_DEPTH + 1] {
+            let err = std::panic::catch_unwind(|| RingQueue::<Msg>::new(depth))
+                .expect_err("out-of-range depth accepted");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("1..=65536"), "depth {depth}: {msg:?}");
         }
     }
 }

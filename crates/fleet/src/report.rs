@@ -43,10 +43,8 @@ pub struct ShardReport {
     pub tenants: usize,
     /// Messages the worker processed (intervals + lifecycle).
     pub messages_processed: usize,
-    /// Producer wait episodes on a full queue (`Block`).
+    /// Producer wait episodes on a full queue.
     pub backpressure_stalls: usize,
-    /// Intervals sacrificed on a full queue (`DropOldest`).
-    pub dropped_intervals: usize,
     /// Queue-occupancy high-water mark.
     pub queue_high_water: usize,
     /// Histogram of payload message sizes (intervals per queue message)
@@ -62,7 +60,7 @@ pub struct FleetAggregate {
     pub tenants: usize,
     /// Tenants that completed their workload.
     pub completed: usize,
-    /// Tenants evicted (cold policy or request).
+    /// Tenants evicted by request.
     pub evicted: usize,
     /// Tenants quarantined after a pipeline panic.
     pub failed: usize,
@@ -74,8 +72,6 @@ pub struct FleetAggregate {
     pub intervals_produced: usize,
     /// Intervals fully processed across the fleet.
     pub intervals_processed: usize,
-    /// Intervals dropped under backpressure.
-    pub dropped_intervals: usize,
     /// Producer stall episodes across all shards.
     pub backpressure_stalls: usize,
     /// Global (centroid) phase changes summed over tenants.
@@ -169,7 +165,6 @@ impl FleetReport {
             agg.ucr_median_mean /= n;
         }
         for s in shards {
-            agg.dropped_intervals = agg.dropped_intervals.saturating_add(s.dropped_intervals);
             agg.backpressure_stalls = agg
                 .backpressure_stalls
                 .saturating_add(s.backpressure_stalls);

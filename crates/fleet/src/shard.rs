@@ -7,8 +7,8 @@
 //! stays on its home shard (`id % shards`) for its whole life, so every
 //! interval of a session runs on the same worker thread.
 //!
-//! **Interval batching:** the driver may coalesce a tenant's intervals
-//! into one [`ShardMsg::Batch`], amortizing one queue operation, one
+//! **Interval batching:** serve ships a tenant's wire batch as one
+//! [`ShardMsg::Batch`], amortizing one queue operation, one
 //! tenant-table lookup and one `catch_unwind` frame over the whole
 //! batch. Processing remains per-interval inside the session, so
 //! summaries and phase-change sequences are byte-identical to the
@@ -68,8 +68,7 @@ pub(crate) enum ShardMsg {
     /// already folded in. Answers `None` when the tenant is unknown or
     /// its session is gone.
     Peek(TenantId, SyncSender<Option<Box<regmon::SessionSnapshot>>>),
-    /// Lockstep pacing: acknowledge that every earlier message has been
-    /// fully processed.
+    /// Acknowledge that every earlier message has been fully processed.
     Barrier(SyncSender<()>),
     /// Test instrumentation: acknowledge on the sender, then park until
     /// the receiver's far end hangs up. While parked the worker pops
@@ -96,12 +95,6 @@ pub(crate) struct AdmitMsg {
 }
 
 impl Droppable for ShardMsg {
-    fn droppable(&self) -> bool {
-        // Only interval payloads may be sacrificed under DropOldest;
-        // losing a control message would corrupt lifecycle state.
-        matches!(self, ShardMsg::Interval(..) | ShardMsg::Batch(..))
-    }
-
     fn units(&self) -> Option<usize> {
         match self {
             ShardMsg::Interval(..) => Some(1),
@@ -153,10 +146,9 @@ pub struct ShardFinal {
     pub tenants: Vec<TenantSnapshot>,
     /// Messages processed over the shard's lifetime.
     pub messages_processed: usize,
-    /// Queue backpressure counters. Under lockstep pacing the
-    /// stall/drop/high-water numbers are superseded by the driver's
-    /// deterministic accounting, but the batch-size histogram is
-    /// deterministic in both pacings.
+    /// Queue counters. `run_fleet` reports the driver's deterministic
+    /// stall and high-water model instead of the timing-dependent real
+    /// ones; the batch-size histogram is deterministic as it stands.
     pub queue: QueueStats,
 }
 

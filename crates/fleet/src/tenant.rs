@@ -1,6 +1,6 @@
 //! Tenant identity, specification and lifecycle states.
 
-use regmon::{PruningConfig, SessionConfig};
+use regmon::SessionConfig;
 use regmon_workload::Workload;
 
 /// Identifies one tenant (one simulated monitored process) in a fleet.
@@ -61,31 +61,6 @@ impl TenantState {
 pub enum EvictReason {
     /// An explicit lifecycle command (operator / schedule).
     Requested,
-    /// The cold-tenant policy fired: too many consecutive intervals
-    /// below the sample floor.
-    Cold,
-}
-
-/// Cold-tenant pruning policy.
-///
-/// This deliberately reuses the *session's* region-pruning policy shape
-/// ([`PruningConfig`]) one level up: a tenant whose intervals carry fewer
-/// than `min_samples` samples for `cold_intervals` consecutive intervals
-/// is evicted from the fleet, exactly as a region with too few samples
-/// for too long is evicted from the region monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColdTenantPolicy(pub PruningConfig);
-
-impl ColdTenantPolicy {
-    /// Policy evicting after `cold_intervals` consecutive intervals with
-    /// fewer than `min_samples` samples.
-    #[must_use]
-    pub fn new(cold_intervals: usize, min_samples: u64) -> Self {
-        Self(PruningConfig {
-            cold_intervals,
-            min_samples,
-        })
-    }
 }
 
 /// Deterministic fault injection for chaos/stress testing: makes the
@@ -183,7 +158,10 @@ mod tests {
     #[test]
     fn state_labels_are_stable() {
         assert_eq!(TenantState::Running.label(), "running");
-        assert_eq!(TenantState::Evicted(EvictReason::Cold).label(), "evicted");
+        assert_eq!(
+            TenantState::Evicted(EvictReason::Requested).label(),
+            "evicted"
+        );
         assert_eq!(TenantState::Failed("boom".into()).label(), "failed");
     }
 }

@@ -35,9 +35,8 @@ use std::path::{Path, PathBuf};
 
 use regmon::SessionSnapshot;
 
-use crate::crc::crc32;
 use crate::snapshot::{decode_snapshot, encode_snapshot};
-use crate::wire::{Frame, MAX_FRAME_LEN, WIRE_VERSION};
+use crate::wire::{split_frame, Frame, WIRE_VERSION};
 
 /// When durable serve calls `fsync` on its WAL and checkpoint files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -185,23 +184,9 @@ impl WalWriter {
 pub fn parse_wal(bytes: &[u8]) -> (Vec<Frame>, usize) {
     let mut frames = Vec::new();
     let mut pos = 0usize;
-    while let Some(header) = bytes.get(pos..pos + 8) {
-        let len = u32::from_le_bytes(header[..4].try_into().expect("8-byte header"));
-        let want_crc = u32::from_le_bytes(header[4..].try_into().expect("8-byte header"));
-        if len == 0 || len > MAX_FRAME_LEN {
-            break;
-        }
-        let Some(body) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-            break;
-        };
-        if crc32(body) != want_crc {
-            break;
-        }
-        let Ok(frame) = Frame::decode(body[0], &body[1..], WIRE_VERSION) else {
-            break;
-        };
+    while let Ok(Some((frame, len))) = split_frame(&bytes[pos..], WIRE_VERSION) {
         frames.push(frame);
-        pos += 8 + len as usize;
+        pos += len;
     }
     (frames, pos)
 }

@@ -51,7 +51,7 @@ use regmon_regions::{FormationConfig, IndexKind};
 use regmon_sampling::{Interval, SamplingConfig};
 
 use crate::compress;
-use crate::crc::{crc32, Crc32};
+use crate::crc::crc32;
 
 /// Magic bytes opening every `Hello` frame and snapshot file header.
 pub const WIRE_MAGIC: [u8; 4] = *b"RGMN";
@@ -1314,32 +1314,20 @@ impl<R: Read> FrameReader<R> {
     /// Any [`WireError`]; see [`read_frame`].
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let start = self.bytes_read;
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(&mut self.inner, &mut len_buf)? {
+        let mut prefix = [0u8; 4];
+        match read_exact_or_eof(&mut self.inner, &mut prefix)? {
             ReadOutcome::CleanEof => return Ok(None),
             ReadOutcome::Partial => return Err(self.truncated_at(start)),
             ReadOutcome::Full => {}
         }
         self.bytes_read += 4;
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge(len));
-        }
-        if len == 0 {
-            return Err(WireError::Malformed("zero-length frame"));
-        }
-        let mut crc_buf = [0u8; 4];
-        self.read_exact_at(start, &mut crc_buf)?;
-        let want = u32::from_le_bytes(crc_buf);
-        let mut body = vec![0u8; len as usize];
-        self.read_exact_at(start, &mut body)?;
-        let mut crc = Crc32::new();
-        crc.update(&body);
-        let got = crc.finish();
-        if got != want {
-            return Err(WireError::BadCrc { want, got });
-        }
-        let frame = Frame::decode(body[0], &body[1..], self.max_version)?;
+        // The length prefix alone: the bound is checked before the
+        // frame is allocated.
+        split_frame(&prefix, self.max_version)?;
+        let mut bytes = vec![0u8; 8 + u32::from_le_bytes(prefix) as usize];
+        bytes[..4].copy_from_slice(&prefix);
+        self.read_exact_at(start, &mut bytes[4..])?;
+        let (frame, _) = split_frame(&bytes, self.max_version)?.expect("whole frame read");
         self.frames_read += 1;
         Ok(Some(frame))
     }
@@ -1414,30 +1402,10 @@ impl FrameParser {
     /// can know the stream ended).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+        let Some((frame, total)) = split_frame(avail, self.max_version)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("four bytes"));
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge(len));
-        }
-        if len == 0 {
-            return Err(WireError::Malformed("zero-length frame"));
-        }
-        let total = 8 + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let want = u32::from_le_bytes(avail[4..8].try_into().expect("four bytes"));
-        let body = &avail[8..total];
-        let mut crc = Crc32::new();
-        crc.update(body);
-        let got = crc.finish();
-        if got != want {
-            return Err(WireError::BadCrc { want, got });
-        }
-        let frame = Frame::decode(body[0], &body[1..], self.max_version)?;
-        match body[0] {
+        };
+        match avail[8] {
             TYPE_COMPRESSED => {
                 self.v2_frames += 1;
                 self.compressed_frames += 1;
@@ -1468,6 +1436,45 @@ impl FrameParser {
             })
         }
     }
+}
+
+/// Checks the frame envelope at the front of `bytes` — the length
+/// bound, the CRC and the body decode — and returns the frame with the
+/// number of bytes it spans. `Ok(None)` means `bytes` ends inside the
+/// frame. The length bound is checked as soon as the 4-byte prefix is
+/// present, so a stream reader can validate it before allocating the
+/// body.
+///
+/// # Errors
+///
+/// [`WireError::FrameTooLarge`], a zero-length frame, a checksum
+/// mismatch, or any [`Frame::decode`] error.
+pub(crate) fn split_frame(
+    bytes: &[u8],
+    max_version: u16,
+) -> Result<Option<(Frame, usize)>, WireError> {
+    let Some(prefix) = bytes.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(prefix.try_into().expect("four bytes"));
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::FrameTooLarge(len));
+    }
+    if len == 0 {
+        return Err(WireError::Malformed("zero-length frame"));
+    }
+    let total = 8 + len as usize;
+    let Some(whole) = bytes.get(..total) else {
+        return Ok(None);
+    };
+    let want = u32::from_le_bytes(whole[4..8].try_into().expect("four bytes"));
+    let body = &whole[8..];
+    let got = crc32(body);
+    if got != want {
+        return Err(WireError::BadCrc { want, got });
+    }
+    let frame = Frame::decode(body[0], &body[1..], max_version)?;
+    Ok(Some((frame, total)))
 }
 
 enum ReadOutcome {

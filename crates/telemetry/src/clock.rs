@@ -12,8 +12,8 @@
 //!   since the first telemetry observation of the process, matching
 //!   chrome://tracing's microsecond `ts` convention.
 //!
-//! The default is `Freerun`; drivers set the mode from their pacing
-//! before producing events.
+//! The default is `Freerun`, which serve keeps; the fleet driver
+//! selects `Lockstep` before producing events.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;

@@ -71,12 +71,11 @@ pub enum EventKind {
         /// The retired region's id.
         region: u64,
     },
-    /// A producer stalled (blocking policy) or dropped (drop-oldest)
-    /// against a full shard queue.
+    /// A producer stalled against a full shard queue.
     Backpressure {
         /// The congested shard.
         shard: u64,
-        /// Payload units stalled or dropped in this episode.
+        /// Payload units stalled in this episode.
         units: u64,
     },
     /// A shard queue reached a new occupancy high-water mark.
@@ -87,8 +86,8 @@ pub enum EventKind {
         depth: u64,
     },
     /// A monitoring session finished processing one interval. The
-    /// interval index is the tenant's own deterministic x-axis (ticks
-    /// drift under batching), which is what the change-point hub keys
+    /// interval index is the tenant's own deterministic x-axis (shard
+    /// workers race the driver's tick), which is what the change-point hub keys
     /// its per-tenant series on.
     IntervalEnd {
         /// Zero-based interval index within the tenant's session.

@@ -18,9 +18,9 @@
 //!   transitions with Pearson *r* and thresholds, UCR breaches, region
 //!   formation/eviction, queue backpressure and high-water.
 //! - [`clock`] — the **virtual clock**: event timestamps are the
-//!   interval/round index under lockstep pacing and wall-clock
-//!   microseconds only in freerun, so enabling telemetry cannot perturb
-//!   `fleet --json` determinism.
+//!   interval/round index in fleet and single-session runs and
+//!   wall-clock microseconds only in serve, so enabling telemetry cannot
+//!   perturb `fleet --json` determinism.
 //! - [`expo`] — **exposition**: Prometheus text format, a JSON
 //!   snapshot, and a chrome://tracing trace-event export for phase
 //!   timelines.

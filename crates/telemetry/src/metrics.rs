@@ -21,12 +21,6 @@ pub static QUEUE_POPPED: Counter = Counter::new(
     "Messages handed to shard consumers",
 );
 
-/// Payload units evicted under the drop-oldest policy.
-pub static QUEUE_DROPPED: Counter = Counter::new(
-    "regmon_queue_dropped_total",
-    "Payload units evicted under the drop-oldest queue policy",
-);
-
 /// Producer wait episodes under blocking backpressure.
 pub static QUEUE_STALLS: Counter = Counter::new(
     "regmon_queue_stalls_total",
@@ -290,10 +284,9 @@ pub static CPD_SERIES_TRACKED: Gauge = Gauge::new(
     "Distinct series tracked by the fleet change-point hub",
 );
 
-static COUNTERS: [&Counter; 36] = [
+static COUNTERS: [&Counter; 35] = [
     &QUEUE_PUSHED,
     &QUEUE_POPPED,
-    &QUEUE_DROPPED,
     &QUEUE_STALLS,
     &QUEUE_NOTIFIES,
     &FLEET_PANICS,

@@ -8,10 +8,7 @@
 //! ```
 
 use regmon::SessionConfig;
-use regmon_fleet::{
-    run_fleet, ColdTenantPolicy, ControlAction, FleetConfig, QueuePolicy, Schedule, TenantId,
-    TenantSpec,
-};
+use regmon_fleet::{run_fleet, ControlAction, FleetConfig, Schedule, TenantId, TenantSpec};
 use regmon_workload::suite;
 
 fn main() {
@@ -31,9 +28,7 @@ fn main() {
         })
         .collect();
 
-    let config = FleetConfig::new(4, 8)
-        .with_policy(QueuePolicy::Block)
-        .with_cold_tenant(ColdTenantPolicy::new(64, 1));
+    let config = FleetConfig::new(4, 8);
 
     // A small lifecycle script: pause tenant 3 for a while, evict and
     // later restart tenant 7, and snapshot the fleet mid-run.
@@ -55,10 +50,9 @@ fn main() {
         report.aggregate.restarts,
     );
     println!(
-        "intervals produced {}  processed {}  dropped {}  stalls {}",
+        "intervals produced {}  processed {}  stalls {}",
         report.aggregate.intervals_produced,
         report.aggregate.intervals_processed,
-        report.aggregate.dropped_intervals,
         report.aggregate.backpressure_stalls,
     );
     println!(
@@ -79,13 +73,8 @@ fn main() {
     println!("\nper-shard backpressure:");
     for s in &report.shards {
         println!(
-            "  shard {}: {} tenants, {} msgs, stalls {}, drops {}, high-water {}",
-            s.shard,
-            s.tenants,
-            s.messages_processed,
-            s.backpressure_stalls,
-            s.dropped_intervals,
-            s.queue_high_water,
+            "  shard {}: {} tenants, {} msgs, stalls {}, high-water {}",
+            s.shard, s.tenants, s.messages_processed, s.backpressure_stalls, s.queue_high_water,
         );
     }
 

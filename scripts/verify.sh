@@ -75,11 +75,11 @@ if [[ "$a" != "$s" ]]; then
   exit 1
 fi
 
-step "fleet JSON determinism (batched)"
-a="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --json)"
-b="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --batch 8 --json)"
+step "fleet JSON determinism (depth-1 queues)"
+a="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --queue-depth 1 --json)"
+b="$(cargo run -q --release -p regmon-cli -- fleet all --tenants 16 --shards 4 --intervals 10 --queue-depth 1 --json)"
 if [[ "$a" != "$b" ]]; then
-  echo "FAIL: fleet --batch 8 --json differed between identical runs" >&2
+  echo "FAIL: fleet --queue-depth 1 --json differed between identical runs" >&2
   exit 1
 fi
 

@@ -5,16 +5,14 @@
 //! stop attributing (the planted `degrade_from` regression) must show
 //! up as a confident UCR change point **attributed to that tenant**,
 //! within two detection windows of the plant; and the detection set
-//! must be byte-identical across batch sizes, like every other
-//! deterministic fleet output.
+//! must be byte-identical across queue depths that leave the stall
+//! model unchanged, like every other deterministic fleet output.
 //!
 //! Telemetry is process-global, so every test takes one shared mutex.
 
 use regmon::SessionConfig;
 use regmon_cpd::{Metric, NO_TENANT};
-use regmon_fleet::{
-    run_fleet, FleetConfig, FleetReport, Pacing, QueuePolicy, Schedule, TenantSpec,
-};
+use regmon_fleet::{run_fleet, FleetConfig, FleetReport, Schedule, TenantSpec};
 use regmon_workload::suite;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -61,10 +59,7 @@ fn run_with_cpd(config: &FleetConfig) -> FleetReport {
 }
 
 fn base_config() -> FleetConfig {
-    FleetConfig::new(2, 4)
-        .with_policy(QueuePolicy::Block)
-        .with_pacing(Pacing::Lockstep)
-        .with_cpd(true)
+    FleetConfig::new(2, 4).with_cpd(true)
 }
 
 #[test]
@@ -110,26 +105,30 @@ fn planted_slowdown_is_detected_and_attributed() {
     );
 }
 
+/// Named for the transport options it once varied. Three tenants per
+/// shard never overflow a model buffer of 3 or more, so depths 3, 4 and
+/// 16 share every series, while the real queues block the driver at
+/// different points.
 #[test]
 fn detections_are_identical_across_batch_and_steal() {
     let _guard = telemetry_lock();
     let mut renderings = Vec::new();
-    for batch in [1usize, 4] {
-        let report = run_with_cpd(&base_config().with_batch(batch));
+    for depth in [4usize, 3, 16] {
+        let report = run_with_cpd(&FleetConfig::new(2, depth).with_cpd(true));
         let cpd = report.cpd.expect("cpd enabled");
         renderings.push((
-            batch,
+            depth,
             format!(
                 "{:?} tracked={} points={}",
                 cpd.change_points, cpd.series_tracked, cpd.points_ingested
             ),
         ));
     }
-    let (b0, reference) = &renderings[0];
-    for (batch, rendering) in &renderings[1..] {
+    let (d0, reference) = &renderings[0];
+    for (depth, rendering) in &renderings[1..] {
         assert_eq!(
             rendering, reference,
-            "cpd output diverged: batch={batch} vs batch={b0}"
+            "cpd output diverged: depth={depth} vs depth={d0}"
         );
     }
 }

@@ -1,8 +1,8 @@
 //! Determinism equivalence: a fleet run of N tenants must yield
 //! per-tenant `SessionSummary` values **byte-identical** (compared via
 //! their full `Debug` rendering) to N independent
-//! `MonitoringSession::run_limited` runs — for shard counts 1, 2 and 8,
-//! both pacing modes, under the lossless `Block` policy.
+//! `MonitoringSession::run_limited` runs — for shard counts 1, 2 and 8
+//! and queue depths 1 and 4.
 //!
 //! This is the fleet's core correctness contract: sharding, queueing
 //! and multiplexing are pure transport and must not perturb a single
@@ -10,8 +10,7 @@
 
 use regmon::{MonitoringSession, SessionConfig, SessionSummary};
 use regmon_fleet::{
-    run_fleet, run_single, FleetConfig, Pacing, QueuePolicy, Schedule, TenantId, TenantSpec,
-    TenantState,
+    run_fleet, run_single, FleetConfig, Schedule, TenantId, TenantSpec, TenantState,
 };
 use regmon_workload::suite;
 
@@ -45,17 +44,18 @@ fn reference_summaries(specs: &[TenantSpec]) -> Vec<SessionSummary> {
         .collect()
 }
 
-fn assert_equivalent(shards: usize, pacing: Pacing) {
+fn assert_equivalent(shards: usize, depth: usize) {
     let specs = fleet_specs();
     let reference = reference_summaries(&specs);
-    let config = FleetConfig::new(shards, 4)
-        .with_policy(QueuePolicy::Block)
-        .with_pacing(pacing);
+    let config = FleetConfig::new(shards, depth);
     let report = run_fleet(&config, &specs, &Schedule::new());
 
     assert_eq!(report.tenants.len(), specs.len());
     assert_eq!(report.aggregate.completed, specs.len());
-    assert_eq!(report.aggregate.dropped_intervals, 0, "Block never drops");
+    assert_eq!(
+        report.aggregate.intervals_processed,
+        report.aggregate.intervals_produced
+    );
 
     for (i, reference) in reference.iter().enumerate() {
         let tenant = report
@@ -69,7 +69,7 @@ fn assert_equivalent(shards: usize, pacing: Pacing) {
         assert_eq!(
             format!("{reference:?}"),
             format!("{fleet_summary:?}"),
-            "tenant {i} ({}) diverged from run_limited with shards={shards} pacing={pacing:?}",
+            "tenant {i} ({}) diverged from run_limited with shards={shards} depth={depth}",
             tenant.name,
         );
     }
@@ -77,27 +77,31 @@ fn assert_equivalent(shards: usize, pacing: Pacing) {
 
 #[test]
 fn fleet_matches_run_limited_one_shard_lockstep() {
-    assert_equivalent(1, Pacing::Lockstep);
+    assert_equivalent(1, 4);
 }
 
 #[test]
 fn fleet_matches_run_limited_two_shards_lockstep() {
-    assert_equivalent(2, Pacing::Lockstep);
+    assert_equivalent(2, 4);
 }
 
 #[test]
 fn fleet_matches_run_limited_eight_shards_lockstep() {
-    assert_equivalent(8, Pacing::Lockstep);
+    assert_equivalent(8, 4);
 }
+
+// The two tests below are named for the free-running pacing they once
+// covered; they now pin the depth-1 queue, where the producer blocks on
+// every interval a worker has not yet taken.
 
 #[test]
 fn fleet_matches_run_limited_one_shard_freerun() {
-    assert_equivalent(1, Pacing::Freerun);
+    assert_equivalent(1, 1);
 }
 
 #[test]
 fn fleet_matches_run_limited_eight_shards_freerun() {
-    assert_equivalent(8, Pacing::Freerun);
+    assert_equivalent(8, 1);
 }
 
 /// The single-threaded session and the threaded split — a fleet of one,
@@ -121,7 +125,7 @@ fn single_threaded_threaded_and_fleet_of_one_agree() {
 #[test]
 fn lockstep_reports_are_deterministic_across_runs() {
     for shards in [1usize, 2, 8] {
-        let config = FleetConfig::new(shards, 3).with_policy(QueuePolicy::Block);
+        let config = FleetConfig::new(shards, 3);
         let a = run_fleet(&config, &fleet_specs(), &Schedule::new());
         let b = run_fleet(&config, &fleet_specs(), &Schedule::new());
         for (x, y) in a.shards.iter().zip(&b.shards) {

@@ -1,30 +1,28 @@
-//! Ingestion fast-path equivalence (property suite).
+//! Fleet transport equivalence (property suite).
 //!
-//! Interval batching is *pure transport*: it may change how intervals
-//! travel to shard workers, but never which intervals arrive, in what
+//! Shard queues are *pure transport*: their depth may change how often
+//! the producer waits, but never which intervals arrive, in what
 //! per-tenant order, on which shard, or what any detector decides. This
-//! suite drives randomized fleet shapes through several batching factors
+//! suite drives randomized fleet shapes through several queue depths
 //! and asserts:
 //!
 //! 1. **Summary identity** — every tenant's `SessionSummary` (compared
 //!    via its full `Debug` rendering, which covers GPD/LPD phase-change
 //!    sequences, stable fractions and region accounting) is
-//!    byte-identical to the per-interval (`batch = 1`) baseline, and
-//!    every tenant stays on its home shard.
-//! 2. **Counter identity (lockstep)** — the simulated backpressure
-//!    counters (stalls, drops, high-water) are keyed to *home* shards
-//!    and must not move by a single unit under batching, for both
-//!    `Block` and `DropOldest` policies.
-//! 3. **Reference identity (freerun)** — under the lossless `Block`
-//!    policy a free-running fleet at any batch size reproduces
-//!    `MonitoringSession::run_limited` exactly.
+//!    byte-identical at every depth, and every tenant stays on its home
+//!    shard.
+//! 2. **Counter model** — the lockstep backpressure counters are keyed
+//!    to *home* shards: a deeper queue never stalls more, and the
+//!    high-water mark never exceeds the depth.
+//! 3. **Reference identity** — at any shard count and depth the fleet
+//!    reproduces `MonitoringSession::run_limited` exactly.
+//!
+//! Two test names still carry the batching factor they once varied.
 
 use proptest::prelude::*;
 
 use regmon::{MonitoringSession, SessionConfig};
-use regmon_fleet::{
-    run_fleet, FleetConfig, FleetReport, Pacing, QueuePolicy, Schedule, TenantSpec,
-};
+use regmon_fleet::{run_fleet, FleetConfig, FleetReport, Schedule, TenantSpec};
 use regmon_workload::suite;
 
 /// Heterogeneous tenants: workloads cycle through the suite, sampling
@@ -61,21 +59,6 @@ fn tenant_digest(report: &FleetReport) -> Vec<String> {
         .collect()
 }
 
-/// The deterministic lockstep backpressure counters, per shard.
-fn shard_counters(report: &FleetReport) -> Vec<(usize, usize, usize)> {
-    report
-        .shards
-        .iter()
-        .map(|s| {
-            (
-                s.backpressure_stalls,
-                s.dropped_intervals,
-                s.queue_high_water,
-            )
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -83,45 +66,40 @@ proptest! {
     fn lockstep_results_invariant_under_batching_and_stealing(
         tenants in 3usize..9,
         shards in 1usize..5,
-        depth in 2usize..7,
+        depth in 1usize..7,
         intervals in 4usize..14,
-        drop_oldest in prop::bool::ANY,
-        batch_a in 2usize..33,
-        batch_b in 2usize..33,
+        extra_a in 1usize..9,
+        extra_b in 9usize..33,
     ) {
         let specs = fleet_specs(tenants, intervals);
-        let policy = if drop_oldest {
-            QueuePolicy::DropOldest
-        } else {
-            QueuePolicy::Block
-        };
-        let base = FleetConfig::new(shards, depth).with_policy(policy);
-        let baseline = run_fleet(&base, &specs, &Schedule::new());
+        let baseline = run_fleet(&FleetConfig::new(shards, depth), &specs, &Schedule::new());
         let base_digest = tenant_digest(&baseline);
-        let base_counters = shard_counters(&baseline);
 
-        for batch in [batch_a, batch_b] {
-            let variant = run_fleet(&base.with_batch(batch), &specs, &Schedule::new());
+        let mut shallower = baseline;
+        for deeper in [depth + extra_a, depth + extra_b] {
+            let variant = run_fleet(&FleetConfig::new(shards, deeper), &specs, &Schedule::new());
             prop_assert_eq!(
                 &base_digest,
                 &tenant_digest(&variant),
-                "summaries diverged at batch={} policy={:?}",
-                batch, policy
+                "summaries diverged at depth={} vs {}",
+                deeper, depth
             );
-            prop_assert_eq!(
-                &base_counters,
-                &shard_counters(&variant),
-                "lockstep counters diverged at batch={} policy={:?}",
-                batch, policy
-            );
+            for (s, v) in shallower.shards.iter().zip(&variant.shards) {
+                prop_assert!(
+                    v.backpressure_stalls <= s.backpressure_stalls,
+                    "depth {} stalled more than a shallower queue on shard {}",
+                    deeper, v.shard
+                );
+                prop_assert!(v.queue_high_water <= deeper);
+            }
+            shallower = variant;
         }
     }
 
     #[test]
     fn freerun_block_matches_run_limited_at_any_batch(
         shards in 1usize..5,
-        depth in 2usize..7,
-        batch in 1usize..33,
+        depth in 1usize..33,
     ) {
         let specs = fleet_specs(6, 10);
         let reference: Vec<String> = specs
@@ -133,13 +111,12 @@ proptest! {
                 )
             })
             .collect();
-        let config = FleetConfig::new(shards, depth)
-            .with_policy(QueuePolicy::Block)
-            .with_pacing(Pacing::Freerun)
-            .with_batch(batch);
-        let report = run_fleet(&config, &specs, &Schedule::new());
+        let report = run_fleet(&FleetConfig::new(shards, depth), &specs, &Schedule::new());
         prop_assert_eq!(report.aggregate.completed, specs.len());
-        prop_assert_eq!(report.aggregate.dropped_intervals, 0, "Block never drops");
+        prop_assert_eq!(
+            report.aggregate.intervals_processed,
+            report.aggregate.intervals_produced
+        );
         for (i, expect) in reference.iter().enumerate() {
             let summary = report.tenants[i]
                 .summary
@@ -148,8 +125,8 @@ proptest! {
             prop_assert_eq!(
                 expect,
                 &format!("{summary:?}"),
-                "tenant {} diverged from run_limited (shards={} batch={})",
-                i, shards, batch
+                "tenant {} diverged from run_limited (shards={} depth={})",
+                i, shards, depth
             );
         }
     }

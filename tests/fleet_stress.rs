@@ -1,14 +1,14 @@
 //! Backpressure and fault-tolerance stress tests for the fleet engine.
 //!
-//! Covers the hostile paths: deliberately tiny queues under both
-//! policies, mid-run eviction + restart, and panic quarantine (a
+//! Covers the hostile paths: deliberately tiny queues, a parked shard
+//! worker, skewed load, mid-run eviction + restart, and panic quarantine (a
 //! tenant whose pipeline panics must be isolated and reported without
 //! poisoning its shard or any other tenant).
 
 use regmon::{MonitoringSession, SessionConfig};
 use regmon_fleet::{
-    run_fleet, ControlAction, EngineConfig, EvictReason, FleetConfig, FleetEngine, Pacing,
-    QueuePolicy, Schedule, TenantId, TenantSpec, TenantState,
+    run_fleet, ControlAction, EngineConfig, EvictReason, FleetConfig, FleetEngine, Schedule,
+    TenantId, TenantSpec, TenantState,
 };
 use regmon_sampling::Sampler;
 use regmon_workload::suite;
@@ -33,39 +33,45 @@ fn mixed_specs(n: usize, intervals: usize) -> Vec<TenantSpec> {
 // Backpressure under a deliberately tiny queue
 // ---------------------------------------------------------------------------
 
-/// Freerun + throttled workers + depth-1 queues: the producer *must*
-/// observe full queues. Under `Block` that is nonzero stalls and zero
-/// drops, and every produced interval is still processed.
+/// The real queue's stall accounting, driven through the engine: a
+/// worker parked by [`FleetEngine::hold_shard`] leaves the depth-1 queue
+/// full after one interval, so the next push waits until a helper
+/// thread releases the worker. Every interval still arrives. (Named for
+/// the free-running fleet run this coverage used to ride on.)
 #[test]
 fn tiny_queue_block_records_stalls_freerun() {
-    let specs: Vec<TenantSpec> = mixed_specs(4, 30)
-        .into_iter()
-        .map(|s| s.with_throttle_us(300))
-        .collect();
-    let config = FleetConfig::new(2, 1)
-        .with_policy(QueuePolicy::Block)
-        .with_pacing(Pacing::Freerun);
-    let report = run_fleet(&config, &specs, &Schedule::new());
-
-    let stalls: usize = report.shards.iter().map(|s| s.backpressure_stalls).sum();
+    let mut engine = FleetEngine::new(EngineConfig::new(1, 1));
+    let spec = spec("172.mgrid", 0, 4);
+    let id = engine.admit(&spec);
+    let mut intervals = Sampler::new(&spec.workload, spec.config.sampling).take(4);
+    let hold = engine.hold_shard(0);
+    assert!(engine.offer_interval(id, intervals.next().unwrap()));
+    let release = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        hold.release();
+    });
+    for interval in intervals {
+        assert!(engine.offer_interval(id, interval));
+    }
+    release.join().unwrap();
+    engine.finish(id);
+    let finals = engine.shutdown();
     assert!(
-        stalls > 0,
-        "depth-1 throttled queues must stall the producer"
+        finals[0].queue.stalls > 0,
+        "a full depth-1 queue must stall the producer"
     );
-    assert_eq!(report.aggregate.dropped_intervals, 0, "Block never drops");
-    assert_eq!(
-        report.aggregate.intervals_produced, report.aggregate.intervals_processed,
-        "Block is lossless"
-    );
-    assert_eq!(report.aggregate.completed, 4);
+    assert_eq!(finals[0].queue.high_water, 1);
+    let t = &finals[0].tenants[0];
+    assert_eq!(t.intervals_processed, 4, "a blocking queue is lossless");
+    assert_eq!(t.state, TenantState::Completed);
 }
 
-/// Lockstep + tiny queue under `Block`: stalls are deterministic and
-/// predictable — every round of R tenants on one shard with depth D
-/// overflows ceil stalls.
+/// Lockstep + tiny queue: stalls are deterministic and predictable —
+/// every round of R tenants on one shard with depth D overflows ceil
+/// stalls.
 #[test]
 fn tiny_queue_block_stalls_lockstep_deterministic() {
-    let config = FleetConfig::new(1, 2).with_policy(QueuePolicy::Block);
+    let config = FleetConfig::new(1, 2);
     let a = run_fleet(&config, &mixed_specs(5, 6), &Schedule::new());
     let b = run_fleet(&config, &mixed_specs(5, 6), &Schedule::new());
     assert!(a.shards[0].backpressure_stalls > 0);
@@ -75,75 +81,83 @@ fn tiny_queue_block_stalls_lockstep_deterministic() {
     );
     // 5 tenants, depth 2: each full round pushes 5 intervals => 2 stalls
     // per round, for rounds 1..=5. In the final round every tenant hits
-    // its interval budget and completion flushes the buffer before each
+    // its interval budget and completion empties the buffer before each
     // Finish, so round 6 never overflows: 2 x 5 = 10.
     assert_eq!(a.shards[0].backpressure_stalls, 10);
     assert_eq!(a.shards[0].queue_high_water, 2);
-    assert_eq!(a.aggregate.dropped_intervals, 0);
+    assert_eq!(
+        a.aggregate.intervals_processed,
+        a.aggregate.intervals_produced
+    );
 }
 
-/// DropOldest under a tiny queue records nonzero drops (freerun: real
-/// queue drops; lockstep: deterministic driver-side drops) and the
-/// dropped intervals are genuinely not processed.
+/// Depth-1 queues over 1, 2 and 4 shards: every shard with `k` tenants
+/// stalls `k - 1` times in each of its 29 full rounds, and no interval
+/// is lost. (Named for the drop policy it used to exercise.)
 #[test]
 fn tiny_queue_drop_oldest_records_drops() {
-    // Lockstep leg: drops are deterministic driver-side decisions, a
-    // pure function of the configuration — one run suffices.
-    let config = FleetConfig::new(2, 1).with_policy(QueuePolicy::DropOldest);
-    let report = run_fleet(&config, &mixed_specs(4, 30), &Schedule::new());
-    assert!(
-        report
-            .shards
-            .iter()
-            .map(|s| s.dropped_intervals)
-            .sum::<usize>()
-            > 0,
-        "depth-1 DropOldest must drop (Lockstep)"
-    );
-    assert!(
-        report.aggregate.intervals_processed < report.aggregate.intervals_produced,
-        "drops must be real (Lockstep)"
-    );
-    // The fleet still completes: DropOldest degrades monitoring
-    // fidelity, never liveness.
-    assert_eq!(report.aggregate.completed, 4, "(Lockstep)");
+    for shards in [1usize, 2, 4] {
+        let report = run_fleet(
+            &FleetConfig::new(shards, 1),
+            &mixed_specs(4, 30),
+            &Schedule::new(),
+        );
+        let per_shard = 4 / shards;
+        for s in &report.shards {
+            assert_eq!(
+                s.backpressure_stalls,
+                29 * (per_shard - 1),
+                "shards {shards}"
+            );
+            assert_eq!(s.queue_high_water, 1, "shards {shards}");
+        }
+        assert_eq!(
+            report.aggregate.intervals_processed, report.aggregate.intervals_produced,
+            "shards {shards}: a blocking queue is lossless"
+        );
+        assert_eq!(report.aggregate.completed, 4, "shards {shards}");
+    }
 }
 
-/// Freerun drops, deterministically: parking the shard worker with
-/// [`FleetEngine::hold_shard`] makes the producer *provably* outrun the
-/// depth-1 queue, so the exact drop count is asserted — no wall-clock
-/// throttling, no retry loop, no scheduler luck (the old form of this
-/// test needed up to 10 attempts on a single-core host).
+/// A worker parked while the queue fills to exactly its depth loses
+/// nothing and never stalls the producer: once released, it processes
+/// every queued interval in order. (Named for the drop policy whose
+/// eviction count it used to pin.)
 #[test]
 fn freerun_drop_oldest_drops_deterministically() {
-    let mut engine = FleetEngine::new(EngineConfig::new(1, 1).with_policy(QueuePolicy::DropOldest));
+    let mut engine = FleetEngine::new(EngineConfig::new(1, 4));
     let spec = spec("172.mgrid", 0, 3);
     let id = engine.admit(&spec);
     // Returns once the worker has processed the Admit and parked:
     // from here until release, nothing leaves the queue.
     let hold = engine.hold_shard(0);
-    let intervals: Vec<_> = Sampler::new(&spec.workload, spec.config.sampling)
-        .take(3)
-        .collect();
-    for interval in intervals {
+    for interval in Sampler::new(&spec.workload, spec.config.sampling).take(3) {
         assert!(engine.offer_interval(id, interval));
     }
     hold.release();
+    // Three intervals and the Finish fit a depth-4 queue.
     engine.finish(id);
     let finals = engine.shutdown();
-    // Depth 1, worker held: the second interval evicted the first, the
-    // third evicted the second — exactly two drops, one survivor.
-    assert_eq!(finals[0].queue.dropped, 2);
+    assert_eq!(finals[0].queue.stalls, 0);
+    assert!(finals[0].queue.high_water >= 3);
     let t = &finals[0].tenants[0];
-    assert_eq!(t.intervals_processed, 1, "only the survivor is processed");
+    assert_eq!(
+        t.intervals_processed, 3,
+        "every queued interval is processed"
+    );
     assert_eq!(t.state, TenantState::Completed);
+    let reference = MonitoringSession::run_limited(&spec.workload, &spec.config, 3);
+    assert_eq!(
+        format!("{reference:?}"),
+        format!("{:?}", t.summary.as_ref().unwrap())
+    );
 }
 
-/// Freerun under a pathological skew: every heavy tenant is homed on
-/// shard 0 (throttled, long-running) while shard 1's tenants finish
-/// almost immediately. Shard 0's backlog must not lose, duplicate or
-/// reorder a single interval: every summary still matches
-/// `run_limited` byte-for-byte.
+/// A pathological skew: every heavy tenant is homed on shard 0
+/// (throttled, long-running) while shard 1's tenants finish almost
+/// immediately. Shard 0's backlog blocks the driver on its real queue,
+/// but must not lose, duplicate or reorder a single interval: every
+/// summary still matches `run_limited` byte-for-byte.
 #[test]
 fn freerun_skewed_load_preserves_summaries() {
     let names = suite::names();
@@ -168,14 +182,9 @@ fn freerun_skewed_load_preserves_summaries() {
             )
         })
         .collect();
-    let config = FleetConfig::new(2, 4)
-        .with_policy(QueuePolicy::Block)
-        .with_pacing(Pacing::Freerun)
-        .with_batch(4);
-    let report = run_fleet(&config, &specs, &Schedule::new());
+    let report = run_fleet(&FleetConfig::new(2, 4), &specs, &Schedule::new());
 
     assert_eq!(report.aggregate.completed, 12);
-    assert_eq!(report.aggregate.dropped_intervals, 0, "Block never drops");
     assert_eq!(
         report.aggregate.intervals_produced, report.aggregate.intervals_processed,
         "skew must not lose or duplicate intervals"
